@@ -123,11 +123,15 @@ def execute_job(job):
     if isinstance(job, MixJob):
         return _execute_mix_job(job)
     from ..experiments.runner import ExperimentRunner
-    t0 = time.perf_counter()
-    runner = ExperimentRunner(scale=job.scale, params=job.params)
-    system = runner.build_system(job.config)
-    t1 = time.perf_counter()
-    result = system.run(job.trace, warmup=job.scale.warmup)
+    from ..sim.system import collector_paused
+    # Build and run allocate the bulk of a job's objects; a finished
+    # system is freed by refcounting, so the collector has nothing to do.
+    with collector_paused():
+        t0 = time.perf_counter()
+        runner = ExperimentRunner(scale=job.scale, params=job.params)
+        system = runner.build_system(job.config)
+        t1 = time.perf_counter()
+        result = system.run(job.trace, warmup=job.scale.warmup)
     _attach_perf_extras(result.extras, t0, t1, result.committed)
     return result
 
@@ -135,18 +139,13 @@ def execute_job(job):
 def _execute_mix_job(job: MixJob):
     """Run one multicore mix (see :func:`execute_job` for the extras)."""
     from ..experiments.runner import ExperimentRunner
-    from ..sim.multicore import MulticoreSystem
-    t0 = time.perf_counter()
-    runner = ExperimentRunner(scale=job.scale, params=job.params)
-    config = job.config
-
-    def factory(**kw):
-        return runner.build_core_system(config, **kw)
-
-    mc = MulticoreSystem(cores=job.cores, params=job.params,
-                         system_factory=factory)
-    t1 = time.perf_counter()
-    result = mc.run(list(job.traces), warmup=job.scale.warmup)
+    from ..sim.system import collector_paused
+    with collector_paused():
+        t0 = time.perf_counter()
+        runner = ExperimentRunner(scale=job.scale, params=job.params)
+        mc = runner.build_multicore_system(job.config, job.cores)
+        t1 = time.perf_counter()
+        result = mc.run(list(job.traces), warmup=job.scale.warmup)
     _attach_perf_extras(result.extras, t0, t1, result.committed)
     return result
 

@@ -31,7 +31,7 @@ import pickle
 import sys
 from dataclasses import asdict, is_dataclass
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from .faults import FaultPlan
 
@@ -90,15 +90,45 @@ def trace_fingerprint(trace) -> str:
     return fingerprint
 
 
+#: ``(id(config), id(scale), id(params))`` -> ``(config, scale, params,
+#: parts)``; see :func:`_key_parts`.  Holding the three objects keeps
+#: their ids from being reused while the entry lives.
+_KEY_PARTS: Dict[Tuple[int, int, int], Tuple[Any, Any, Any, Tuple]] = {}
+#: Entries kept before the memo starts over (a sweep uses a handful).
+_KEY_PARTS_MAX = 256
+
+
+def _key_parts(config, scale, params) -> Tuple[Any, Any, str]:
+    """Canonical config and scale plus the params digest, memoized.
+
+    A sweep derives thousands of keys from a few config, scale and
+    params objects, and their ``asdict`` deep copies are most of a key's
+    cost.  The memo is keyed by identity, not equality: equal objects
+    can canonicalize differently (``Scale(warmup=0)`` equals
+    ``Scale(warmup=0.0)``), while one frozen object always gives the
+    same form.  Callers must not mutate the returned structures.
+    """
+    key = (id(config), id(scale), id(params))
+    entry = _KEY_PARTS.get(key)
+    if entry is not None:
+        return entry[3]
+    from ..sim.params import params_digest
+    parts = (_canonical(config), _canonical(scale), params_digest(params))
+    if len(_KEY_PARTS) >= _KEY_PARTS_MAX:
+        _KEY_PARTS.clear()
+    _KEY_PARTS[key] = (config, scale, params, parts)
+    return parts
+
+
 def job_key(config, trace, scale, params) -> str:
     """The store key of one ``(config, trace, scale, params)`` job."""
-    from ..sim.params import params_digest
+    config_c, scale_c, params_d = _key_parts(config, scale, params)
     payload = {
         "format": FORMAT_VERSION,
-        "config": _canonical(config),
+        "config": config_c,
         "trace": trace_fingerprint(trace),
-        "scale": _canonical(scale),
-        "params": params_digest(params),
+        "scale": scale_c,
+        "params": params_d,
     }
     return stable_digest(payload)
 
@@ -111,15 +141,15 @@ def mix_job_key(config, traces, cores, scale, params) -> str:
     be bit-identical.  The ``kind`` field keeps mix keys disjoint from
     single-core :func:`job_key` digests.
     """
-    from ..sim.params import params_digest
+    config_c, scale_c, params_d = _key_parts(config, scale, params)
     payload = {
         "format": FORMAT_VERSION,
         "kind": "mix",
-        "config": _canonical(config),
+        "config": config_c,
         "traces": [trace_fingerprint(trace) for trace in traces],
         "cores": cores,
-        "scale": _canonical(scale),
-        "params": params_digest(params),
+        "scale": scale_c,
+        "params": params_d,
     }
     return stable_digest(payload)
 

@@ -26,7 +26,7 @@ from ..exec.store import ResultStore, StoreError, job_key, mix_job_key
 from ..obs import ObsConfig, PhaseProfiler
 from ..prefetchers.base import (MODE_ON_ACCESS, MODE_ON_COMMIT, Prefetcher)
 from ..prefetchers.registry import is_registered, make_prefetcher
-from ..sim.multicore import MulticoreResult
+from ..sim.multicore import MulticoreResult, MulticoreSystem
 from ..sim.params import SystemParams, baseline
 from ..sim.system import SimResult, System
 from ..workloads.mixes import generate_mixes
@@ -435,6 +435,23 @@ class ExperimentRunner:
                       delay_mitigation=delay, prefetcher=prefetcher,
                       train_mode=config.mode,
                       llc_scramble=llc_scramble, **kw)
+
+    def build_multicore_system(self, config: Config,
+                               cores: int) -> MulticoreSystem:
+        """Build a ``cores``-core system for ``config``.
+
+        The shared LLC and DRAM take the config's mitigation params, as
+        :meth:`build_system`'s private ones do (``rand-llc`` switches the
+        LLC to random replacement); each core comes from
+        :meth:`build_core_system`.
+        """
+        params = self._mitigation_knobs(config)[0]
+
+        def factory(**kw):
+            return self.build_core_system(config, **kw)
+
+        return MulticoreSystem(cores=cores, params=params,
+                               system_factory=factory)
 
     # ------------------------------------------------------------------
     # execution

@@ -206,11 +206,6 @@ class CacheLevel:
         self._accesses = self.stats.accesses
         self._hits = self.stats.hits
         self._misses = self.stats.misses
-        #: Flattened descent rooted at this level (``make_flat_descent``),
-        #: installed by the hierarchy when the chain below is plain
-        #: CacheLevels terminating in a MemoryBackend.  ``None`` means
-        #: callers use the recursive ``access``.
-        self._descend = None
 
     # ------------------------------------------------------------------
     # basic array operations
@@ -533,10 +528,7 @@ class CacheLevel:
         self.stats.prefetches_issued += 1
         if self.events is not None:
             self.events.emit("pf_issue", time, block, self.name)
-        descend = self._descend
-        if descend is None:
-            descend = self.access
-        completion, _ = descend(block, time, REQ_PREFETCH, True, fill)
+        completion, _ = self.access(block, time, REQ_PREFETCH, True, fill)
         # The access above never touches the PQ, so the head is still the
         # slot this prefetch claimed.
         del pq_times[0]

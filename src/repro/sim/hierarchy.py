@@ -81,7 +81,10 @@ class MemoryHierarchy:
         # Hot-path hoists (demand_load runs once per load): bound methods
         # of the fixed collaborators and the constants behind a GM hit's
         # latency and the prefetch-demotion threshold.
+        #: Demand walks rooted at the L1D and at the L2 (the prefetch
+        #: issuer's fill levels): the recursive ``access`` or its flat twin.
         self._l1d_access = self.l1d.access
+        self._l2_access = self.l2.access
         #: Batched commit re-fetch resolver (see flatwalk); ``None`` when
         #: the chain is scrambled and the drain must re-fetch per block.
         self._refetch_batch = None
@@ -90,14 +93,14 @@ class MemoryHierarchy:
             # flattened one-frame descents.  Each is a semantically
             # identical twin of the recursive walk (make_flat_descent);
             # with events attached they defer to the recursive path, so
-            # tracing semantics are unchanged.  The shared-LLC case simply
-            # rebinds the LLC's descent to an equivalent closure per core.
+            # tracing semantics are unchanged.  The closures live here,
+            # never on the levels they walk: a level holding a closure
+            # over its own bound methods would be a reference cycle, and
+            # a finished system must be freed by refcounting alone.
             self._l1d_access = make_flat_descent(
                 (self.l1d, self.l2, self.llc), self.dram)
-            self.l1d._descend = self._l1d_access
-            self.l2._descend = make_flat_descent(
+            self._l2_access = make_flat_descent(
                 (self.l2, self.llc), self.dram)
-            self.llc._descend = make_flat_descent((self.llc,), self.dram)
             if secure:
                 self._refetch_batch = make_refetch_batch(
                     (self.l1d, self.l2, self.llc), self.dram)

@@ -30,16 +30,14 @@ private memory system.
 
 from __future__ import annotations
 
-import gc
-
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..workloads.trace import Trace
 from .cache import CacheLevel, LEVEL_LLC, MemoryBackend
 from .dram import DRAMChannel
 from .params import SystemParams, baseline
-from .system import SimResult, System
+from .system import SimResult, System, collector_paused
 
 #: Default interleave quantum (committed instructions per scheduling
 #: turn).  Coarsened from the original 32 by the PR10 modeled-time pass:
@@ -103,13 +101,13 @@ class MulticoreSystem:
 
         # One LLC bank per core in the paper; modelled as one shared cache
         # with aggregated capacity and per-bank port/MSHR counts scaled.
+        # Every other field (ways, latency, line size, replacement
+        # policy) is the per-core bank's.
         llc_params = params.llc
-        shared_llc_params = type(llc_params)(
-            name="LLC", size_kb=llc_params.size_kb * cores,
-            ways=llc_params.ways, latency=llc_params.latency,
+        shared_llc_params = replace(
+            llc_params, size_kb=llc_params.size_kb * cores,
             mshrs=llc_params.mshrs * cores,
             ports=llc_params.ports * cores,
-            line_size=llc_params.line_size,
             pq_entries=llc_params.pq_entries * cores)
         self.dram = DRAMChannel(params.dram)
         self.llc = CacheLevel(shared_llc_params, LEVEL_LLC,
@@ -132,13 +130,9 @@ class MulticoreSystem:
             _CoreRunner(system, trace, warmup, self.quantum)
             for system, trace in zip(self.systems, mix)]
         active = list(runners)
-        # The run loop allocates only short-lived objects (events, stat
-        # tuples) that never form cycles; pausing the cyclic collector
-        # for the duration removes its periodic scans from the hot loop.
-        # Refcounting still frees everything promptly.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        # As in System.run: refcounting frees everything the loop
+        # allocates, so collector scans would free nothing.
+        with collector_paused():
             while active:
                 # Advance the core whose next instruction dispatches
                 # earliest.  Manual strict-< scan instead of
@@ -154,9 +148,6 @@ class MulticoreSystem:
                         best = runner
                 if not best.step():
                     active.remove(best)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         results = [runner.finish() for runner in runners]
         name = "+".join(trace.name for trace in mix)
         return MulticoreResult(per_core=results, mix_name=name)

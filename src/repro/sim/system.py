@@ -53,6 +53,7 @@ import gc
 
 from bisect import bisect_right, insort
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -83,6 +84,28 @@ _NEVER = float("inf")
 #: training feedback) only reads it when a prefetcher exists, so one
 #: constant tuple serves every load instead of a fresh allocation each.
 _NO_PF_META = (False, False, False, False, False, False)
+
+
+@contextmanager
+def collector_paused():
+    """Keep the cyclic garbage collector off for the block (re-entrant).
+
+    Building and running a system allocates tens of thousands of
+    container objects, and every allocation brings the collector's next
+    scan closer, now and then a full scan of everything alive (trace
+    pools included).  None of that work is needed: a system holds no
+    reference cycles, so refcounting frees it, whole, once the last
+    reference goes (tests/sim/test_teardown.py).
+    The previous collector state is restored on exit, so nested uses --
+    a job around a run -- leave it as the outermost caller found it.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 @dataclass
@@ -269,17 +292,12 @@ class System:
         ``warmup`` is the fraction of committed instructions used to warm
         caches and predictor tables before statistics are reset.
         """
-        # The replay loop churns short-lived, cycle-free objects only;
-        # pausing the cyclic collector keeps its periodic scans out of
-        # the hot loop (refcounting still frees everything promptly).
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
+        # The loop allocates only objects that refcounting frees (the
+        # system itself included, once released): collector scans here
+        # would cost time and free nothing.
+        with collector_paused():
             for _ in self.stepper(trace, warmup, chunk=0):
                 pass
-        finally:
-            if gc_was_enabled:
-                gc.enable()
         return self.finalize(trace)
 
     def stepper(self, trace: Trace, warmup: float = 0.2,
@@ -1781,11 +1799,15 @@ class System:
         closure replicates that decision chain flat, charging the same
         counters in the same order, and only calls into ``access`` when
         a prefetch actually enters the memory system.  With event
-        tracing attached it defers to the reference path so emission
-        sites stay in one place.
+        tracing attached it takes the reference path (``_issue``'s loop
+        over ``MemoryHierarchy.issue_prefetch``) so emission sites stay
+        in one place.  The closure is stored on the system, so it must
+        not capture the system itself (or any of its bound methods):
+        that cycle would keep every finished system alive until the
+        cyclic collector runs.
         """
         hierarchy = self.hierarchy
-        slow_issue = self._issue
+        hierarchy_issue = hierarchy.issue_prefetch
         dram = hierarchy.dram
         l1d = hierarchy.l1d
         l2 = hierarchy.l2
@@ -1798,13 +1820,13 @@ class System:
         l1_outstanding = l1d._outstanding
         l1_pq = l1d._pq_times
         l1_mshr = l1d._mshr_times
-        l1_access = l1d._descend or l1d.access
+        l1_access = hierarchy._l1d_access
         l2_sets = l2.sets
         l2_mask = l2._set_mask
         l2_outstanding = l2._outstanding
         l2_pq = l2._pq_times
         l2_mshr = l2._mshr_times
-        l2_access = l2._descend or l2.access
+        l2_access = hierarchy._l2_access
         llc_issue = llc.issue_prefetch
         mshr_limit = hierarchy._l1d_mshrs
         classifier = self.classifier
@@ -1814,7 +1836,10 @@ class System:
         def issue(requests, time):
             if l1d.events is not None or l2.events is not None \
                     or llc.events is not None:
-                slow_issue(requests, time)
+                for pf_block, fill_level in requests:
+                    if on_real is not None:
+                        on_real(pf_block, time)
+                    hierarchy_issue(pf_block, time, fill_level)
                 return
             for pf_block, fill_level in requests:
                 if on_real is not None:

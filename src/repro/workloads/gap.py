@@ -22,7 +22,10 @@ generators.
 from __future__ import annotations
 
 import random
+from array import array
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from typing import Dict, List, Optional, Tuple
 
 try:  # optional fast path; the stdlib loop below is always available
@@ -33,7 +36,9 @@ except ImportError:  # pragma: no cover - numpy-less environment
 from .synthetic import REGION_GAP, TraceBuilder
 from .trace import Trace
 
-_GRAPH_CACHE: Dict[Tuple[int, int, int], Tuple[List[int], List[int]]] = {}
+#: ``(vertices, degree, seed)`` -> ``(offsets, neighbors)``.
+_GRAPH_CACHE: Dict[Tuple[int, int, int],
+                   Tuple[Sequence, Sequence]] = {}
 
 OFFSETS_BASE = 1 * REGION_GAP
 NEIGHBORS_BASE = 2 * REGION_GAP
@@ -47,8 +52,61 @@ _ELEM = 8  # bytes per array element
 _TOP_BIT = 0x80000000
 
 
+class _LazyNeighbors(Sequence):
+    """CSR neighbor column whose rows are sorted on first access.
+
+    Holds every accepted MT19937 draw of the graph, already decoded to a
+    vertex id, in one typed array (degree draws included: row ``v``'s
+    neighbor draws start right after its degree draw, at ``offsets[v] +
+    v + 1``).  A short trace reads few of the 65,536 rows (15 to 20 at
+    500 loads), so building the whole sorted column up front -- a
+    million Python ints -- is mostly waste.  Reads behave as on the
+    plain list the scalar builder returns: same values, plain ints,
+    rows sorted.
+    """
+
+    def __init__(self, draws, offsets) -> None:
+        self._draws = draws
+        self._offsets = offsets
+        self._rows: Dict[int, List[int]] = {}
+
+    def row(self, v: int) -> List[int]:
+        """Vertex ``v``'s sorted neighbors (decoded once, then cached)."""
+        row = self._rows.get(v)
+        if row is None:
+            start = self._offsets[v]
+            first = start + v + 1
+            row = self._rows[v] = sorted(self._draws[
+                first:first + self._offsets[v + 1] - start].tolist())
+        return row
+
+    def __len__(self) -> int:
+        return self._offsets[-1]
+
+    def __iter__(self):
+        for v in range(len(self._offsets) - 1):
+            yield from self.row(v)
+
+    def __getitem__(self, index):
+        offsets = self._offsets
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step == 1 and start < stop:
+                v = bisect_right(offsets, start) - 1
+                if stop <= offsets[v + 1]:  # within one row: the emitter's
+                    base = offsets[v]
+                    return self.row(v)[start - base:stop - base]
+            return [self[i] for i in range(start, stop, step)]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("neighbor index out of range")
+        v = bisect_right(offsets, index) - 1
+        return self.row(v)[index - offsets[v]]
+
+
 def _np_build_graph(vertices: int, deg_lo: int, deg_span: int,
-                    seed: int) -> Optional[Tuple[List[int], List[int]]]:
+                    seed: int) -> Optional[Tuple[array, _LazyNeighbors]]:
     """Vectorized, draw-exact CSR construction (NumPy fast path).
 
     CPython's ``Random._randbelow(n)`` for ``n == 2**m`` draws one 32-bit
@@ -60,6 +118,11 @@ def _np_build_graph(vertices: int, deg_lo: int, deg_span: int,
     pull the raw word stream in bulk (same MT19937 state, injected from
     ``random.Random(seed)``), filter on the top bit once, and decode each
     accepted word with the shift of whichever draw consumed it.
+
+    Only the degrees are walked here (each degree draw's position
+    depends on every earlier degree); the neighbor draws stay decoded in
+    one array and each row is sorted when it is first read
+    (:class:`_LazyNeighbors`).
 
     Returns ``None`` (caller falls back to the scalar loop) when NumPy is
     missing, a window is not a power of two, or the trailing spot check
@@ -84,57 +147,42 @@ def _np_build_graph(vertices: int, deg_lo: int, deg_span: int,
     shift_deg = 32 - deg_span.bit_length()
     shift_v = 32 - vertices.bit_length()
 
+    def accepted(count: int):
+        words = mt.random_raw(count)
+        return words[words < _TOP_BIT].astype(_np.uint32)
+
     # Accepted draws needed: one degree draw plus ``deg`` vertex draws
     # per vertex; each accepted draw costs two raw words on average.
     mean_deg = deg_lo + (deg_span - 1) / 2.0
     need = int(vertices * (1.0 + mean_deg)) + vertices // 8 + 4096
-    words = mt.random_raw(max(4096, int(need * 2.1)))
-    acc = words[words < _TOP_BIT]
+    acc = accepted(max(4096, int(need * 2.1)))
     # Degree candidates as a bytes view: C-speed indexing in the walk
     # below without materializing a Python int per accepted word.
     deg_bytes = (acc >> shift_deg).astype(_np.uint8).tobytes()
 
     # Sequential walk over accepted-draw positions: vertex v's degree
     # draw sits right after vertex v-1's last neighbor draw.
-    degs: List[int] = []
-    append = degs.append
+    offsets = array("q", [0])
+    append = offsets.append
+    off = 0
     pos = 0
     n_acc = len(acc)
     for _ in range(vertices):
         while pos >= n_acc:  # estimate ran short: top up the stream
-            more = mt.random_raw(1 << 16)
-            more_acc = more[more < _TOP_BIT]
-            acc = _np.concatenate((acc, more_acc))
-            deg_bytes += (more_acc >> shift_deg).astype(
-                _np.uint8).tobytes()
+            more = accepted(1 << 16)
+            acc = _np.concatenate((acc, more))
+            deg_bytes += (more >> shift_deg).astype(_np.uint8).tobytes()
             n_acc = len(acc)
         d = deg_lo + deg_bytes[pos]
-        append(d)
+        off += d
+        append(off)
         pos += 1 + d
     while pos > n_acc:  # the final vertex's neighbor draws ran short
-        more = mt.random_raw(1 << 16)
-        acc = _np.concatenate((acc, more[more < _TOP_BIT]))
+        acc = _np.concatenate((acc, accepted(1 << 16)))
         n_acc = len(acc)
-
-    degs_arr = _np.asarray(degs, dtype=_np.int64)
-    deg_positions = _np.empty(vertices, dtype=_np.int64)
-    deg_positions[0] = 0
-    if vertices > 1:
-        _np.cumsum(degs_arr[:-1] + 1, out=deg_positions[1:])
-    mask = _np.ones(pos, dtype=bool)
-    mask[deg_positions] = False
-    nbr = (acc[:pos][mask] >> shift_v).astype(_np.int64)
-
-    # Per-vertex ascending neighbor sort, all rows at once: tag each
-    # value with its row id in the high bits and sort the tagged column.
-    vbits = (vertices - 1).bit_length()
-    combined = (_np.repeat(_np.arange(vertices, dtype=_np.int64),
-                           degs_arr) << vbits) | nbr
-    combined.sort()
-    neighbors = (combined & ((1 << vbits) - 1)).tolist()
-    offs = _np.zeros(vertices + 1, dtype=_np.int64)
-    _np.cumsum(degs_arr, out=offs[1:])
-    offsets = offs.tolist()
+    draws = (acc[:pos] >> shift_v).astype(
+        _np.uint16 if vertices <= 1 << 16 else _np.uint32)
+    neighbors = _LazyNeighbors(draws, offsets)
 
     # Spot check: replay the first few vertices on the scalar generator
     # and require byte-for-byte agreement, so any emulation drift (NumPy
@@ -145,17 +193,22 @@ def _np_build_graph(vertices: int, deg_lo: int, deg_span: int,
         return None
     for v in range(min(4, vertices)):
         d = deg_lo + randbelow(deg_span)
-        if d != degs[v]:  # pragma: no cover - fallback guard
+        if d != offsets[v + 1] - offsets[v]:  # pragma: no cover - guard
             return None
         row = sorted(randbelow(vertices) for _ in range(d))
-        if row != neighbors[offsets[v]:offsets[v + 1]]:
+        if row != neighbors.row(v):
             return None  # pragma: no cover - fallback guard
     return offsets, neighbors
 
 
 def build_graph(vertices: int = 65536, degree: int = 16,
-                seed: int = 42) -> Tuple[List[int], List[int]]:
-    """Return (offsets, neighbors) of a random CSR graph (cached)."""
+                seed: int = 42) -> Tuple[Sequence, Sequence]:
+    """Return (offsets, neighbors) of a random CSR graph (cached).
+
+    Both are read-only sequences of plain ints; with NumPy the neighbor
+    rows are sorted on first read (:class:`_LazyNeighbors`), without it
+    both are lists.  The values are the same either way.
+    """
     key = (vertices, degree, seed)
     cached = _GRAPH_CACHE.get(key)
     if cached is not None:

@@ -4,10 +4,11 @@ import pytest
 
 from repro.exec.faults import FaultPlan
 from repro.exec.store import (ResultStore, StoreError, job_key,
-                              trace_fingerprint)
-from repro.experiments.runner import BASELINE, Config, Scale
+                              mix_job_key, trace_fingerprint)
+from repro.experiments.runner import BASELINE, SCALES, Config, Scale
 from repro.sim.params import baseline, params_digest
 from repro.workloads.mixes import workload_pool
+from repro.workloads.trace import Trace, alu, branch, load, store as st
 
 SCALE = Scale("micro", 300, 2, 1, 2)
 
@@ -142,6 +143,18 @@ class TestStableKeys:
         assert job_key(BASELINE, traces[0], SCALE,
                        params.scaled(2)) != base
 
+    def test_equal_but_differently_typed_inputs_keep_their_keys(self):
+        # Scale(warmup=0) == Scale(warmup=0.0), but the two serialize
+        # differently and so have always keyed differently; memoizing
+        # the canonical parts must not merge them.
+        trace = self._pool()[0]
+        as_int = Scale("w", 300, 2, 1, 2, warmup=0)
+        as_float = Scale("w", 300, 2, 1, 2, warmup=0.0)
+        assert as_int == as_float
+        params = baseline()
+        assert job_key(BASELINE, trace, as_int, params) != \
+            job_key(BASELINE, trace, as_float, params)
+
     def test_params_digest_stable(self):
         assert params_digest(baseline()) == params_digest(baseline())
         assert params_digest(baseline()) != \
@@ -194,3 +207,84 @@ class TestTornWrites:
         store = ResultStore(tmp_path / "s", fault_plan=plan)
         store.put(KEY, "x")
         assert store.stats()["injected_torn_writes"] == 1
+
+
+def _pinned_trace(name, n, suite="spec"):
+    records = []
+    for i in range(n):
+        records.append(load(0x400 + i % 3, 0x1000 + 64 * i))
+        if i % 4 == 0:
+            records.append(st(0x500, 0x8000 + 8 * i))
+        if i % 5 == 0:
+            records.append(branch(0x600, mispredict=i % 10 == 0))
+            records.append(load(0x700, 0x9000 + 64 * i, wrong_path=True))
+        records.append(alu(0x800))
+    return Trace(name, records, suite=suite)
+
+
+class TestPinnedKeys:
+    """Key values pinned from the store as it has always derived them.
+
+    Every existing ``.repro-store`` is addressed by these digests: a
+    change to key derivation that moves one orphans every stored result
+    (and needs a ``FORMAT_VERSION`` bump), so it must show up here.
+    """
+
+    A = _pinned_trace("key-a", 40)
+    B = _pinned_trace("key-b", 25, suite="gap")
+    CUSTOM = Scale("custom", 1234, 2, 1, 3, 0.1)
+
+    @classmethod
+    def inputs(cls):
+        """``name -> (key function, arguments)``, built fresh."""
+        params = baseline()
+        scaled = params.scaled(4)
+        tiny, small = SCALES["tiny"], SCALES["small"]
+        a, b, custom = cls.A, cls.B, cls.CUSTOM
+        return {
+            "job_nonsecure": (job_key, (Config(), a, tiny, params)),
+            "job_secure_suf_tsb": (job_key, (
+                Config.from_spec("timely-secure", "berti", suf=True), a,
+                small, params)),
+            "job_randllc_scaled": (job_key, (
+                Config.from_spec("nonsecure", "ip-stride",
+                                 mitigation="rand-llc"), b, custom, scaled)),
+            "job_prefender_classify": (job_key, (
+                Config.from_spec("on-commit-secure", "ipcp", classify=True,
+                                 mitigation="prefender",
+                                 sample_interval=500), b, tiny, params)),
+            "mix_oc_suf": (mix_job_key, (
+                Config.from_spec("on-commit-secure", "berti", suf=True),
+                (a, b, a, b), 4, tiny, params)),
+            "mix_delay_2core": (mix_job_key, (
+                Config.from_spec("nonsecure", "spp", mitigation="delay"),
+                (b, a), 2, custom, scaled)),
+        }
+
+    @staticmethod
+    def keys(inputs):
+        return {name: fn(*args) for name, (fn, args) in inputs.items()}
+
+    PINNED = {
+        "job_nonsecure":
+            "631e68ad7311c44d5a63201a4eb9c7c73fcb61154da5e27666e142da82245581",
+        "job_secure_suf_tsb":
+            "bb3df944e374375f599412ac366847a156ca9723c253cf1154741d1ec182a208",
+        "job_randllc_scaled":
+            "57709bab6668a5c3ee007d0c278dd291ba23cc4f0515b8afd928a9255cdc1036",
+        "job_prefender_classify":
+            "6317665c92676942e725ea42020d3b8e3c4b7abf6b9f6a44dc8453068712db68",
+        "mix_oc_suf":
+            "27e699e622f8c952c7ad60b81fb4e965729c4d1fcf077b31227c74b7ae6bb42d",
+        "mix_delay_2core":
+            "9743c8e747f66c75f0496ee2090b9e48489b55a07980f4ae1de807c748b398d5",
+    }
+
+    def test_keys_unchanged(self):
+        assert self.keys(self.inputs()) == self.PINNED
+
+    def test_repeated_derivation_is_stable(self):
+        # Same objects again: answered from the memoized canonical parts.
+        inputs = self.inputs()
+        assert self.keys(inputs) == self.PINNED
+        assert self.keys(inputs) == self.PINNED

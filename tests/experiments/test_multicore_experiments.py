@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.exec.pool import MixJob, execute_job
 from repro.experiments import ExperimentRunner, Scale, fig15, \
     smt_accuracy_check
+from repro.experiments.runner import Config
+from repro.security.mitigations import randomized_llc_params
+from repro.sim.multicore import MulticoreSystem
+from repro.sim.params import baseline
+from repro.workloads.spec import spec_trace
 
 
 @pytest.fixture(scope="module")
@@ -32,3 +38,46 @@ class TestSmtProxy:
         stats = smt_accuracy_check(micro_runner, n_mixes=2)
         assert 0.0 <= stats["min_suf_accuracy"] <= \
             stats["mean_suf_accuracy"] <= 1.0
+
+
+class TestMixSystemMitigations:
+    """Mix jobs build their shared LLC and DRAM from the config's
+    mitigation params, as single-core jobs build their private ones."""
+
+    RAND_LLC = Config.from_spec("nonsecure", "ip-stride",
+                                mitigation="rand-llc")
+
+    def test_rand_llc_shared_llc_is_random(self):
+        runner = ExperimentRunner(scale=Scale("micro", 2000, 3, 1, 2))
+        mc = runner.build_multicore_system(self.RAND_LLC, 2)
+        assert mc.llc._policy == "random"
+        # The cross-core-probe attack builds its system this way.
+        assert mc.llc.params == MulticoreSystem(
+            cores=2, params=randomized_llc_params(baseline())).llc.params
+        assert all(system.llc_scramble for system in mc.systems)
+        assert all(system.hierarchy.llc is mc.llc for system in mc.systems)
+
+    def test_lru_configs_keep_lru(self):
+        runner = ExperimentRunner(scale=Scale("micro", 2000, 3, 1, 2))
+        mc = runner.build_multicore_system(Config(), 2)
+        assert mc.llc._policy == "lru"
+        assert not any(system.llc_scramble for system in mc.systems)
+
+    def test_execute_mix_job_applies_mitigation_params(self, monkeypatch):
+        built = []
+        build = ExperimentRunner.build_multicore_system
+
+        def spy(self, config, cores):
+            built.append(build(self, config, cores))
+            return built[-1]
+
+        monkeypatch.setattr(ExperimentRunner, "build_multicore_system", spy)
+        scale = Scale("micro", 300, 3, 1, 2)
+        traces = (spec_trace("605.mcf-1554B", 300, 1),
+                  spec_trace("619.lbm-2676B", 300, 1))
+        result = execute_job(MixJob(key="rand-llc-mix", config=self.RAND_LLC,
+                                    traces=traces, cores=2, scale=scale,
+                                    params=baseline()))
+        assert len(result.per_core) == 2
+        (mc,) = built
+        assert mc.llc._policy == "random"

@@ -1,9 +1,12 @@
 """Multi-core systems: shared LLC/DRAM, interleaving, weighted speedup."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sim.multicore import (DEFAULT_QUANTUM, MulticoreResult,
                                  MulticoreSystem, alone_ipcs, run_mix)
+from repro.sim.params import baseline
 from repro.sim.system import System
 from repro.workloads.synthetic import pointer_chase_trace, stream_trace
 
@@ -62,6 +65,24 @@ class TestSharedResources:
     def test_llc_capacity_aggregated(self):
         mc = MulticoreSystem(cores=4)
         assert mc.llc.params.size_kb == 4 * 2048
+
+    def test_llc_scales_bank_resources_only(self):
+        bank = baseline().llc
+        shared = MulticoreSystem(cores=4).llc.params
+        assert (shared.size_kb, shared.mshrs, shared.ports,
+                shared.pq_entries) == (4 * bank.size_kb, 4 * bank.mshrs,
+                                       4 * bank.ports, 4 * bank.pq_entries)
+        assert (shared.ways, shared.latency, shared.line_size,
+                shared.replacement) == (bank.ways, bank.latency,
+                                        bank.line_size, "lru")
+
+    @pytest.mark.parametrize("policy", ["random", "srrip"])
+    def test_llc_keeps_replacement_policy(self, policy):
+        params = baseline()
+        params = replace(params, llc=replace(params.llc, replacement=policy))
+        mc = MulticoreSystem(cores=2, params=params)
+        assert mc.llc.params.replacement == policy
+        assert mc.llc._policy == policy
 
     def test_private_l1_l2(self):
         mc = MulticoreSystem(cores=2)

@@ -1,9 +1,15 @@
 """GAP-like graph workload generators."""
 
+import pytest
+
+from repro.workloads import gap
 from repro.workloads.gap import (GAP_KERNELS, NEIGHBORS_BASE, OFFSETS_BASE,
                                  PROP_BASE, bfs_trace, build_graph,
                                  gap_traces, pagerank_trace, tc_trace)
 from repro.workloads.trace import FLAG_LOAD, FLAG_WRONG_PATH
+
+needs_numpy = pytest.mark.skipif(gap._np is None,
+                                 reason="the fast graph path needs NumPy")
 
 
 def committed_loads(trace):
@@ -35,6 +41,66 @@ class TestBuildGraph:
         g1 = build_graph(vertices=64, degree=4, seed=3)
         g2 = build_graph(vertices=64, degree=4, seed=4)
         assert g1 is not g2
+
+
+class TestNumpyGraphPath:
+    """The NumPy builder against the stdlib loop it must reproduce.
+
+    Production size (65,536 vertices, degree 16), at the seeds of the
+    default pool's ``bfs`` and ``pr`` graphs.  The NumPy rows are
+    decoded and sorted on first read, so every row is read here.
+    """
+
+    @staticmethod
+    def build_both(monkeypatch, vertices, degree, seed):
+        monkeypatch.setattr(gap, "_GRAPH_CACHE", {})
+        fast = build_graph(vertices, degree, seed)
+        monkeypatch.setattr(gap, "_np", None)
+        monkeypatch.setattr(gap, "_GRAPH_CACHE", {})
+        slow = build_graph(vertices, degree, seed)
+        monkeypatch.undo()
+        return fast, slow
+
+    @needs_numpy
+    @pytest.mark.parametrize("seed", [43, 45])
+    def test_every_row_equal_at_production_size(self, monkeypatch, seed):
+        (offsets, fast), (want_offsets, want) = self.build_both(
+            monkeypatch, 65536, 16, seed)
+        assert isinstance(fast, gap._LazyNeighbors)  # the fast path ran
+        assert isinstance(want, list)
+        assert list(offsets) == want_offsets
+        assert len(fast) == len(want)
+        bad = [v for v in range(65536) if fast.row(v) !=
+               want[want_offsets[v]:want_offsets[v + 1]]]
+        assert not bad, f"{len(bad)} rows differ, first {bad[:5]}"
+        assert all(type(value) is int for value in fast.row(0))
+        assert all(type(value) is int for value in offsets[:5])
+
+    @needs_numpy
+    def test_reads_match_a_list(self, monkeypatch):
+        (offsets, fast), (_, want) = self.build_both(
+            monkeypatch, 256, 8, 1)
+        assert isinstance(fast, gap._LazyNeighbors)
+        assert list(fast) == want
+        n = len(want)
+        for index in (0, 1, 17, n - 1, -1, -n):
+            assert fast[index] == want[index]
+        for cut in (slice(3, 40), slice(offsets[5], offsets[6]),
+                    slice(offsets[5] + 1, offsets[5] + 2),
+                    slice(None, 10, 3), slice(-7, None), slice(9, 9)):
+            assert fast[cut] == want[cut], cut
+        with pytest.raises(IndexError):
+            fast[n]
+
+    @needs_numpy
+    @pytest.mark.parametrize("kernel", ["bfs", "pr"])
+    def test_traces_identical_without_numpy(self, monkeypatch, kernel):
+        monkeypatch.setattr(gap, "_GRAPH_CACHE", {})
+        fast = gap.gap_trace(kernel, 2000, seed=42)
+        monkeypatch.setattr(gap, "_np", None)
+        monkeypatch.setattr(gap, "_GRAPH_CACHE", {})
+        slow = gap.gap_trace(kernel, 2000, seed=42)
+        assert fast.records == slow.records
 
 
 class TestKernels:
