@@ -704,19 +704,10 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Reproduction of 'Secure Prefetching for Secure "
                     "Cache Systems' (MICRO 2024)")
-    batch_group = parser.add_mutually_exclusive_group()
-    batch_group.add_argument(
-        "--batch", dest="batch", action="store_true", default=None,
-        help="force the batch (prescanned) simulate front-end, even "
-             "without NumPy (default: on when NumPy is importable)")
-    batch_group.add_argument(
-        "--no-batch", dest="batch", action="store_false",
-        help="force the scalar simulate front-end (escape hatch; "
-             "stats are bit-identical either way)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     # One shared parent parser (repro.exec.options) carries the
-    # execution/store/batch flags for every simulation-driving command;
+    # execution/store flags for every simulation-driving command;
     # ExecOptions resolves them identically everywhere.
     exec_parent = exec_arguments()
 
@@ -993,10 +984,6 @@ def _on_sigterm(signum, frame):
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    # The one place the batch front-end choice reaches the environment,
-    # so sharded/multiprocess workers (exec pool, job service) inherit
-    # the same selection as the parent process.
-    ExecOptions(batch=getattr(args, "batch", None)).apply_batch_env()
     # SIGTERM parity with SIGINT: both unwind cleanly (finally blocks,
     # store checkpoints) and exit with the conventional 128+signal code.
     # ``serve`` replaces this with its own asyncio handler that drains

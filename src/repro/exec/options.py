@@ -2,20 +2,15 @@
 
 Every subcommand that drives simulations (``run``, ``figure``, ``sweep``,
 ``multicore``, ``bench``, ``campaign``) historically re-declared the same
-``--jobs/--store/--no-store/--timeout/--batch`` flags and re-implemented
-their environment fallbacks.  This module is the single source of truth:
+``--jobs/--store/--no-store/--timeout`` flags and re-implemented their
+environment fallbacks.  This module is the single source of truth:
 
 * :func:`exec_arguments` builds an ``argparse`` *parent parser* carrying
   the flags, attached to each subcommand via ``parents=[...]``;
-* :class:`ExecOptions` is the resolved form -- env fallbacks
-  (``REPRO_STORE``, ``REPRO_BATCH``) are applied in exactly one place --
-  and is threaded through to :class:`~repro.experiments.runner.
-  ExperimentRunner` via :meth:`ExecOptions.make_runner`.
-
-The batch-front-end flags use ``argparse.SUPPRESS`` defaults so a
-subcommand-level ``--no-batch`` overrides the pre-subcommand global flag
-while an absent flag leaves the global choice intact (argparse subparsers
-clobber already-parsed attributes with their own defaults otherwise).
+* :class:`ExecOptions` is the resolved form -- the ``REPRO_STORE``
+  fallback is applied in exactly one place -- and is threaded through to
+  :class:`~repro.experiments.runner.ExperimentRunner` via
+  :meth:`ExecOptions.make_runner`.
 """
 
 from __future__ import annotations
@@ -28,10 +23,6 @@ from typing import Optional
 #: Environment fallback for the default store directory.
 STORE_ENV = "REPRO_STORE"
 
-#: Environment knob the batch front-end selection is routed through, so
-#: sharded/multiprocess workers inherit the same choice as the parent.
-BATCH_ENV = "REPRO_BATCH"
-
 
 def default_store() -> str:
     """The default result-store directory (``REPRO_STORE`` fallback)."""
@@ -39,7 +30,7 @@ def default_store() -> str:
 
 
 def exec_arguments() -> argparse.ArgumentParser:
-    """A parent parser carrying the shared execution/store/batch flags.
+    """A parent parser carrying the shared execution/store flags.
 
     Attach with ``sub.add_parser(..., parents=[exec_arguments()])``;
     resolve with :meth:`ExecOptions.from_args`.
@@ -57,15 +48,6 @@ def exec_arguments() -> argparse.ArgumentParser:
     group.add_argument("--timeout", type=float, default=None,
                        help="per-job wall-clock timeout in seconds "
                             "(requires --jobs > 1)")
-    batch = group.add_mutually_exclusive_group()
-    batch.add_argument("--batch", dest="batch", action="store_true",
-                       default=argparse.SUPPRESS,
-                       help="force the batch (prescanned) simulate "
-                            "front-end, even without NumPy")
-    batch.add_argument("--no-batch", dest="batch", action="store_false",
-                       default=argparse.SUPPRESS,
-                       help="force the scalar simulate front-end "
-                            "(stats are bit-identical either way)")
     return parent
 
 
@@ -75,14 +57,12 @@ class ExecOptions:
 
     ``store`` is the final decision: ``None`` means "no persistent
     store" (``--no-store``), otherwise the directory path with the
-    ``REPRO_STORE`` fallback already applied.  ``batch`` is ``None`` for
-    "auto" (the front-end picks batch iff NumPy imports).
+    ``REPRO_STORE`` fallback already applied.
     """
 
     jobs: int = 1
     store: Optional[str] = None
     timeout: Optional[float] = None
-    batch: Optional[bool] = None
 
     @classmethod
     def from_args(cls, args) -> "ExecOptions":
@@ -103,18 +83,7 @@ class ExecOptions:
             store = getattr(args, "store", None)
             if store is None:
                 store = default_store()
-        return cls(jobs=jobs, store=store, timeout=timeout,
-                   batch=getattr(args, "batch", None))
-
-    def apply_batch_env(self) -> None:
-        """Export the batch front-end choice for worker processes.
-
-        Routed through :data:`BATCH_ENV` so sharded workers (exec pool,
-        job service) inherit the selection; a ``None`` (auto) choice
-        leaves the environment untouched.
-        """
-        if self.batch is not None:
-            os.environ[BATCH_ENV] = "1" if self.batch else "0"
+        return cls(jobs=jobs, store=store, timeout=timeout)
 
     def make_runner(self, *, scale=None, failsoft: bool = True,
                     fault_plan=None, max_retries: int = 2):

@@ -1,12 +1,12 @@
-"""Batch (block-at-a-time) front-end support for :meth:`System.stepper`.
+"""Trace prescan for the simulate loop (:meth:`System.stepper`).
 
-The scalar stepper interprets one record tuple at a time: unpack, test
-flag bits, shift the address, count the instruction, and compare against
-the warm-up / sampler / yield thresholds -- every record, every run.  All
-of that work is a pure function of the trace, so the batch front-end
-hoists it into a one-time **prescan** that classifies every record into a
-small-int code and precomputes the per-record values the simulate loop
-would otherwise derive:
+Much of what the loop needs to know about a record is a pure function of
+the trace: which class of record it is, its cache block, whether it
+stays on the previous load's page, how many committed instructions
+precede it.  A one-time **prescan** computes all of it per trace, so the
+loop never unpacks a record tuple, tests a flag bit, shifts an address
+or checks a warm-up / sampler / yield threshold per record.  The plan
+holds these columns:
 
 ``codes``
     one byte per record (``C_*`` below); the inner loop dispatches on it
@@ -30,10 +30,10 @@ would otherwise derive:
     guaranteed dTLB hits whose move-to-back is a no-op -- the stepper
     skips the dict probe entirely.
 
-Everything here is exact: the prescan encodes the same decisions the
-scalar loop makes, never approximations of them, and the golden suite
-(tests/sim/test_golden_stats.py, tests/sim/test_batch.py) pins the two
-paths bit-identical.
+Everything here is exact: the prescan encodes decisions, never
+approximations of them, and the golden suite
+(tests/sim/test_golden_stats.py, tests/sim/test_batch.py) pins the
+stepper's statistics bit for bit on either prescan backend.
 
 NumPy is a **soft dependency**: when importable (and not blocked by the
 ``REPRO_NO_NUMPY`` environment variable), the prescan runs as vector
@@ -64,10 +64,10 @@ else:
 HAVE_NUMPY = np is not None
 
 # Record class codes.  Committed-path codes are < C_WRONG_LOAD so the
-# inner loop tests "committed?" with one compare; the prescan derives the
-# code with exactly the scalar loop's branch structure (FLAG_LOAD wins
-# over FLAG_STORE; FLAG_MISPREDICT only matters on branches; wrong-path
-# non-loads all behave identically -- dispatch slot + commit drain only).
+# inner loop tests "committed?" with one compare.  Flag precedence:
+# FLAG_LOAD wins over FLAG_STORE; FLAG_MISPREDICT only matters on
+# branches; wrong-path non-loads all behave identically (dispatch slot
+# + commit drain only).
 C_ALU = 0
 C_BRANCH = 1
 C_MISPREDICT = 2
@@ -189,14 +189,3 @@ def plan_for(trace) -> BatchPlan:
             pass
     return plan
 
-
-def batch_default() -> bool:
-    """Resolve the batch front-end default: the ``REPRO_BATCH``
-    environment variable when set (``0``/``false``/``no``/``off`` disable,
-    anything else enables), else NumPy availability.  Worker processes
-    inherit the environment, so the CLI's ``--batch/--no-batch`` applies
-    to sharded runs too."""
-    env = os.environ.get("REPRO_BATCH")
-    if env is not None:
-        return env.strip().lower() not in ("0", "false", "no", "off", "")
-    return HAVE_NUMPY

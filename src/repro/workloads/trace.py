@@ -170,7 +170,7 @@ class Trace:
         Columnar traces return the prebuilt columns without ever
         materializing record tuples; record-built traces transpose on
         demand (and do not cache the result -- the tuples stay the
-        canonical representation there).  The batch stepper's prescan
+        canonical representation there).  The stepper's prescan
         (:mod:`repro.sim.batch`) reads these, so a columnar trace can be
         simulated end to end without ``records`` existing at all.
         """

@@ -103,7 +103,6 @@ class TestExecOptions(object):
         options = ExecOptions.from_args(parser.parse_args([]))
         assert options.jobs == 1
         assert options.store is not None   # REPRO_STORE fallback
-        assert options.batch is None
 
     def test_no_store_wins(self):
         import argparse
@@ -118,21 +117,3 @@ class TestExecOptions(object):
         options = ExecOptions.from_args(parser.parse_args([]))
         assert options.store == "/tmp/elsewhere"
 
-    def test_subcommand_batch_does_not_clobber_global(self):
-        from repro.cli import build_parser
-        # The pre-subcommand global flag survives subparser defaults...
-        args = build_parser().parse_args(["--no-batch", "figure",
-                                          "fig1"])
-        assert args.batch is False
-        # ...and the subcommand-level flag is accepted too.
-        args = build_parser().parse_args(["figure", "fig1", "--batch"])
-        assert args.batch is True
-
-    def test_batch_env_routing(self, monkeypatch):
-        import os
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        ExecOptions(batch=None).apply_batch_env()
-        assert "REPRO_BATCH" not in os.environ
-        ExecOptions(batch=False).apply_batch_env()
-        assert os.environ["REPRO_BATCH"] == "0"
-        monkeypatch.delenv("REPRO_BATCH", raising=False)

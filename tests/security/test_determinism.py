@@ -2,10 +2,10 @@
 
 The security matrix's leakage cells run in-process, so their guarantee
 is simpler than the executor's: same attack + same defense must yield a
-byte-identical :class:`AttackResult` on every run, under either simulate
-front-end (batch/scalar), at any ``--jobs`` level (the executor never
-sees an attack), and regardless of registry-mutating tests that ran
-earlier.  These pins keep that promise honest.
+byte-identical :class:`AttackResult` on every run, at any ``--jobs``
+level (the executor never sees an attack), and regardless of
+registry-mutating tests that ran earlier.  These pins keep that promise
+honest.
 """
 
 import pytest
@@ -22,18 +22,6 @@ def test_attack_repeatable_in_process(attack):
     first = run_attack(attack, "nonsecure")
     second = run_attack(attack, "nonsecure")
     assert first == second
-
-
-@pytest.mark.parametrize("attack", ALL_ATTACKS)
-def test_attack_bit_identical_across_frontends(attack, monkeypatch):
-    """The batch (prescanned) and scalar simulate front-ends produce the
-    same probe latencies bit for bit, so a matrix rendered with
-    ``--batch`` matches one rendered with ``--no-batch``."""
-    monkeypatch.setenv("REPRO_BATCH", "1")
-    batch = run_attack(attack, "rand-llc")
-    monkeypatch.setenv("REPRO_BATCH", "0")
-    scalar = run_attack(attack, "rand-llc")
-    assert batch == scalar
 
 
 def test_matrix_text_identical_across_fresh_runners():

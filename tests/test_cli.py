@@ -286,30 +286,3 @@ class TestServiceParser:
     def test_submit_unreachable_service_fails_cleanly(self, tmp_path):
         with pytest.raises(SystemExit, match="repro serve"):
             main(["submit", "bfs", "--store", str(tmp_path / "none")])
-
-
-class TestBatchFlag:
-    def test_parse_batch_flags(self):
-        assert build_parser().parse_args(["tables"]).batch is None
-        assert build_parser().parse_args(["--batch", "tables"]).batch is True
-        assert build_parser().parse_args(
-            ["--no-batch", "tables"]).batch is False
-
-    def test_batch_flags_mutually_exclusive(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["--batch", "--no-batch", "tables"])
-
-    def test_no_batch_routes_through_env(self, monkeypatch, capsys):
-        # The environment routing is what lets sharded workers inherit
-        # the front-end selection.
-        import os
-        monkeypatch.setenv("REPRO_BATCH", "sentinel")  # registers restore
-        del os.environ["REPRO_BATCH"]
-        main(["--no-batch", "tables"])
-        assert os.environ["REPRO_BATCH"] == "0"
-
-    def test_default_leaves_env_alone(self, monkeypatch, capsys):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        import os
-        main(["tables"])
-        assert "REPRO_BATCH" not in os.environ
