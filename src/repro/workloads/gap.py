@@ -50,6 +50,8 @@ _ELEM = 8  # bytes per array element
 #: MT19937 words with this bit clear are the ones ``_randbelow`` accepts
 #: when the window is a power of two (see :func:`_np_build_graph`).
 _TOP_BIT = 0x80000000
+#: Raw MT19937 words the NumPy builder pulls and decodes at a time.
+_CHUNK_WORDS = 1 << 16
 
 
 class _LazyNeighbors(Sequence):
@@ -116,13 +118,16 @@ def _np_build_graph(vertices: int, deg_lo: int, deg_span: int,
     (``deg_span`` and ``vertices``) are powers of two, the accepted-word
     subsequence does not depend on which window each draw targets: we can
     pull the raw word stream in bulk (same MT19937 state, injected from
-    ``random.Random(seed)``), filter on the top bit once, and decode each
+    ``random.Random(seed)``), filter on the top bit, and decode each
     accepted word with the shift of whichever draw consumed it.
 
-    Only the degrees are walked here (each degree draw's position
-    depends on every earlier degree); the neighbor draws stay decoded in
-    one array and each row is sorted when it is first read
-    (:class:`_LazyNeighbors`).
+    The stream is pulled ``_CHUNK_WORDS`` raw words at a time, and each
+    chunk is decoded at once into a degree byte and a vertex id per
+    accepted word, so no raw word outlives its chunk; the degree walk
+    pulls the next chunk whenever it runs past the decoded prefix.  Only
+    the degrees are walked here (each degree draw's position depends on
+    every earlier degree); the neighbor draws stay decoded in one array
+    and each row is sorted when it is first read (:class:`_LazyNeighbors`).
 
     Returns ``None`` (caller falls back to the scalar loop) when NumPy is
     missing, a window is not a power of two, or the trailing spot check
@@ -146,19 +151,19 @@ def _np_build_graph(vertices: int, deg_lo: int, deg_span: int,
     # getrandbits(m + 1) keeps the top m + 1 bits of the word.
     shift_deg = 32 - deg_span.bit_length()
     shift_v = 32 - vertices.bit_length()
+    vid_type = _np.uint16 if vertices <= 1 << 16 else _np.uint32
+    # Degree candidates as bytes: C-speed indexing in the walk below
+    # without materializing a Python int per accepted word.
+    deg_bytes = bytearray()
+    vid_chunks = []
 
-    def accepted(count: int):
-        words = mt.random_raw(count)
-        return words[words < _TOP_BIT].astype(_np.uint32)
-
-    # Accepted draws needed: one degree draw plus ``deg`` vertex draws
-    # per vertex; each accepted draw costs two raw words on average.
-    mean_deg = deg_lo + (deg_span - 1) / 2.0
-    need = int(vertices * (1.0 + mean_deg)) + vertices // 8 + 4096
-    acc = accepted(max(4096, int(need * 2.1)))
-    # Degree candidates as a bytes view: C-speed indexing in the walk
-    # below without materializing a Python int per accepted word.
-    deg_bytes = (acc >> shift_deg).astype(_np.uint8).tobytes()
+    def pull() -> int:
+        """Decode the next chunk; return the accepted draws so far."""
+        words = mt.random_raw(_CHUNK_WORDS)
+        acc = words[words < _TOP_BIT]
+        deg_bytes.extend((acc >> shift_deg).astype(_np.uint8).tobytes())
+        vid_chunks.append((acc >> shift_v).astype(vid_type))
+        return len(deg_bytes)
 
     # Sequential walk over accepted-draw positions: vertex v's degree
     # draw sits right after vertex v-1's last neighbor draw.
@@ -166,22 +171,18 @@ def _np_build_graph(vertices: int, deg_lo: int, deg_span: int,
     append = offsets.append
     off = 0
     pos = 0
-    n_acc = len(acc)
+    n_dec = 0
     for _ in range(vertices):
-        while pos >= n_acc:  # estimate ran short: top up the stream
-            more = accepted(1 << 16)
-            acc = _np.concatenate((acc, more))
-            deg_bytes += (more >> shift_deg).astype(_np.uint8).tobytes()
-            n_acc = len(acc)
+        while pos >= n_dec:
+            n_dec = pull()
         d = deg_lo + deg_bytes[pos]
         off += d
         append(off)
         pos += 1 + d
-    while pos > n_acc:  # the final vertex's neighbor draws ran short
-        acc = _np.concatenate((acc, accepted(1 << 16)))
-        n_acc = len(acc)
-    draws = (acc[:pos] >> shift_v).astype(
-        _np.uint16 if vertices <= 1 << 16 else _np.uint32)
+    while pos > n_dec:  # the final vertex's neighbor draws
+        n_dec = pull()
+    deg_bytes.clear()  # not needed past the walk: free it before the join
+    draws = _np.concatenate(vid_chunks)[:pos]
     neighbors = _LazyNeighbors(draws, offsets)
 
     # Spot check: replay the first few vertices on the scalar generator

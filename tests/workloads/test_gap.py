@@ -1,5 +1,7 @@
 """GAP-like graph workload generators."""
 
+import tracemalloc
+
 import pytest
 
 from repro.workloads import gap
@@ -75,6 +77,21 @@ class TestNumpyGraphPath:
         assert not bad, f"{len(bad)} rows differ, first {bad[:5]}"
         assert all(type(value) is int for value in fast.row(0))
         assert all(type(value) is int for value in offsets[:5])
+
+    @needs_numpy
+    def test_build_memory_is_bounded(self, monkeypatch):
+        # The graph keeps about 2.6 MiB.  The bound leaves room for a
+        # second copy of its vertex-id column while the chunks are
+        # joined, not for the whole raw stream (17.5 MiB) at once.
+        monkeypatch.setattr(gap, "_GRAPH_CACHE", {})
+        tracemalloc.start()
+        try:
+            offsets, neighbors = build_graph(65536, 16, 43)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(neighbors, gap._LazyNeighbors)
+        assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
     @needs_numpy
     def test_reads_match_a_list(self, monkeypatch):
