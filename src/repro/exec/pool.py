@@ -183,8 +183,15 @@ def failed_result(config, trace_name: str, error: str):
 # worker side
 # ----------------------------------------------------------------------
 
-def _worker_main(conn) -> None:
-    """Worker loop: receive (job, attempt, plan), reply ('ok'|'err', ...)."""
+def _worker_main(conn, parent_conn) -> None:
+    """Worker loop: receive (job, attempt, plan), reply ('ok'|'err', ...).
+
+    ``parent_conn`` is the parent's end of this worker's pipe, which a
+    forked child inherits.  Closing it first means ``conn.recv()`` sees
+    EOF once the parent dies, even by SIGKILL, so the worker exits
+    instead of sleeping forever.
+    """
+    parent_conn.close()
     while True:
         try:
             message = conn.recv()
@@ -216,8 +223,8 @@ class WorkerHandle:
 
     def __init__(self) -> None:
         self.conn, child = Pipe(duplex=True)
-        self.process = Process(target=_worker_main, args=(child,),
-                               daemon=True)
+        self.process = Process(target=_worker_main,
+                               args=(child, self.conn), daemon=True)
         self.process.start()
         child.close()
         self.index: Optional[int] = None   # in-flight job index

@@ -4,6 +4,13 @@ Worker crash/hang handling forks real processes, so these tests use a
 micro scale (300 loads) to stay fast.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.exec.faults import ENV_VAR, FaultPlan
@@ -15,6 +22,7 @@ from repro.sim.params import baseline
 from repro.workloads.mixes import generate_mixes, workload_pool
 
 SCALE = Scale("micro", 300, 2, 1, 2)
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def make_jobs(config=BASELINE, n=3):
@@ -106,6 +114,62 @@ class TestParallel:
         outcomes = ex.run_jobs(make_jobs(n=1))
         assert not outcomes[0].ok
         assert "timed out" in outcomes[0].error
+
+
+# Holds two workers, reports their pids, then blocks until killed.
+_PARENT_SCRIPT = """
+import sys
+from repro.exec.pool import WorkerHandle
+workers = [WorkerHandle() for _ in range(2)]
+print(*(worker.process.pid for worker in workers), flush=True)
+sys.stdin.read()
+"""
+
+
+def _running(pid):
+    """True while ``pid`` runs; an unreaped zombie has exited."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:  # no procfs: the signal probe is all there is
+        return True
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGKILL"), reason="POSIX only")
+class TestParentDeath:
+    def test_workers_exit_when_parent_is_sigkilled(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH",
+                                                            "")
+        parent = subprocess.Popen(
+            [sys.executable, "-c", _PARENT_SCRIPT], env=env,
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        pids = []
+        try:
+            pids = [int(pid) for pid in parent.stdout.readline().split()]
+            assert len(pids) == 2
+            parent.kill()  # SIGKILL: no cleanup code runs in the parent
+            parent.wait(timeout=10)
+            deadline = time.monotonic() + 5.0
+            while any(map(_running, pids)) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.05)
+            survivors = [pid for pid in pids if _running(pid)]
+            assert not survivors, \
+                f"workers {survivors} outlived their SIGKILLed parent"
+        finally:
+            if parent.poll() is None:
+                parent.kill()
+                parent.wait(timeout=10)
+            for pid in pids:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
+            parent.stdin.close()
+            parent.stdout.close()
 
 
 class TestPerfExtras:
