@@ -241,6 +241,51 @@ class TestStoreIntegration:
         assert store.writes == 0
 
 
+def _stored(root, jobs):
+    """Which jobs a fresh store over ``root`` answers."""
+    fresh = ResultStore(root)
+    return [fresh.get(job.key) is not None for job in jobs]
+
+
+class TestInterruptedBatch:
+    """A batch cut short by Ctrl-C or SIGTERM still writes the jobs it
+    finished, so a rerun over the same store resumes from them."""
+
+    def test_serial_interrupt_keeps_finished_jobs(self, tmp_path,
+                                                  monkeypatch):
+        calls = []
+
+        def interrupt_third(job):
+            calls.append(job.key)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return execute_job(job)
+
+        monkeypatch.setattr("repro.exec.pool.execute_job", interrupt_third)
+        jobs = make_jobs()
+        ex = JobExecutor(jobs=1, store=ResultStore(tmp_path / "store"))
+        with pytest.raises(KeyboardInterrupt):
+            ex.run_jobs(jobs)
+        assert _stored(tmp_path / "store", jobs) == [True, True, False]
+
+    def test_parallel_interrupt_keeps_finished_jobs(self, tmp_path,
+                                                    monkeypatch):
+        collect = JobExecutor._collect
+
+        def interrupt_after_two(self, *args):
+            finished = collect(self, *args)
+            if self.simulated >= 2:
+                raise KeyboardInterrupt
+            return finished
+
+        monkeypatch.setattr(JobExecutor, "_collect", interrupt_after_two)
+        jobs = make_jobs()
+        ex = JobExecutor(jobs=2, store=ResultStore(tmp_path / "store"))
+        with pytest.raises(KeyboardInterrupt):
+            ex.run_jobs(jobs)
+        assert sum(_stored(tmp_path / "store", jobs)) == 2
+
+
 class TestFailedResult:
     def test_sentinel_is_nan_and_marked(self):
         sentinel = failed_result(Config(prefetcher="berti"), "t", "boom")
