@@ -23,24 +23,10 @@ Fault kinds
     :class:`repro.exec.store.ResultStore` flips a payload byte of the
     record right after its first write, exercising checksum verification,
     quarantine, and recompute.
-``stall``
-    The worker sleeps ``stall_s`` seconds before simulating (in every
-    execution mode -- the sleep is short, unlike ``hang``).  Exercises
-    slow-worker tolerance: heartbeats go late but no kill should fire.
 ``torn``
     :class:`repro.exec.store.ResultStore` truncates the record file to
     half its length right after its first write (a torn write, as if the
     filesystem lost the tail), exercising quarantine-on-read + recompute.
-``kill`` (with ``kill_phase``)
-    The *service* process (:mod:`repro.service`) SIGKILLs itself at a
-    named phase (``submit`` / ``dispatch`` / ``complete``) for selected
-    jobs -- once per (job, phase), tracked by a marker file, so a
-    restarted service recovers instead of dying forever.
-``wal_trunc``
-    The service's write-ahead journal writes only half of a selected
-    record's bytes and then SIGKILLs the process (a crash mid-append),
-    exercising torn-tail recovery on replay.  Once per record id, via the
-    same marker mechanism.
 
 Faults apply only on attempts ``<= attempts`` (default: the first), so a
 retried job succeeds -- set ``attempts`` high to test permanent failure.
@@ -49,8 +35,7 @@ Environment switch
 ------------------
 ``REPRO_FAULTS`` holds a comma-separated spec, e.g.::
 
-    REPRO_FAULTS="crash:3,hang:5,corrupt:4,hang_s:30,attempts:1"
-    REPRO_FAULTS="kill:2,kill_phase:complete,torn:3,stall:5,stall_s:0.05"
+    REPRO_FAULTS="crash:3,hang:5,corrupt:4,torn:7,hang_s:30,attempts:1"
 
 ``crash:3`` means "every job whose key digest is ``0 (mod 3)`` crashes";
 a modulus of ``1`` selects every job and ``0`` (or absence) disables the
@@ -60,20 +45,14 @@ kind.  An empty/unset variable disables injection entirely.
 from __future__ import annotations
 
 import os
-import signal
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional
 
 #: Environment variable the plan is parsed from.
 ENV_VAR = "REPRO_FAULTS"
 
-_INT_FIELDS = ("crash", "die", "hang", "corrupt", "stall", "torn",
-               "kill", "wal_trunc", "attempts")
-
-#: Service phases at which ``kill`` may fire (see repro.service.core).
-KILL_PHASES = ("submit", "dispatch", "complete")
+_INT_FIELDS = ("crash", "die", "hang", "corrupt", "torn", "attempts")
 
 
 class InjectedFault(RuntimeError):
@@ -92,18 +71,11 @@ class FaultPlan:
     die_every: int = 0
     hang_every: int = 0
     corrupt_every: int = 0
-    stall_every: int = 0
     torn_every: int = 0
-    kill_every: int = 0
-    wal_trunc_every: int = 0
     #: Inject only while the job's attempt number is <= this.
     attempts: int = 1
     #: How long an injected hang sleeps (pick >> the executor timeout).
     hang_s: float = 30.0
-    #: How long an injected stall sleeps (pick << any timeout).
-    stall_s: float = 0.05
-    #: Which service phase ``kill`` fires at ('' disables it).
-    kill_phase: str = ""
 
     # ------------------------------------------------------------------
     # construction
@@ -140,22 +112,12 @@ class FaultPlan:
                     plan = replace(plan, **{field: int(value)})
                 elif key == "hang_s":
                     plan = replace(plan, hang_s=float(value))
-                elif key == "stall_s":
-                    plan = replace(plan, stall_s=float(value))
-                elif key == "kill_phase":
-                    phase = value.strip()
-                    if phase not in KILL_PHASES:
-                        raise ValueError(
-                            f"fault spec item {item!r}: kill_phase must "
-                            f"be one of {', '.join(KILL_PHASES)}")
-                    plan = replace(plan, kill_phase=phase)
                 else:
                     raise ValueError(
                         f"unknown fault kind {key!r}; known: "
-                        f"{', '.join(_INT_FIELDS + ('hang_s', 'stall_s', 'kill_phase'))}")
+                        f"{', '.join(_INT_FIELDS + ('hang_s',))}")
             except ValueError as exc:
-                if "unknown fault kind" in str(exc) \
-                        or "kill_phase" in str(exc):
+                if "unknown fault kind" in str(exc):
                     raise
                 raise ValueError(
                     f"fault spec item {item!r}: bad value") from None
@@ -168,8 +130,7 @@ class FaultPlan:
     @property
     def active(self) -> bool:
         return any((self.crash_every, self.die_every, self.hang_every,
-                    self.corrupt_every, self.stall_every, self.torn_every,
-                    self.kill_every, self.wal_trunc_every))
+                    self.corrupt_every, self.torn_every))
 
     @staticmethod
     def _digest(key: str) -> int:
@@ -192,9 +153,6 @@ class FaultPlan:
     def should_hang(self, key: str, attempt: int = 1) -> bool:
         return self._selects(self.hang_every, key, attempt)
 
-    def should_stall(self, key: str, attempt: int = 1) -> bool:
-        return self._selects(self.stall_every, key, attempt)
-
     def should_corrupt(self, key: str) -> bool:
         """Store-side selection (not attempt-scoped: the store corrupts a
         matching record once and remembers it)."""
@@ -206,16 +164,6 @@ class FaultPlan:
         same contract as :meth:`should_corrupt`)."""
         return self.torn_every > 0 \
             and self._digest(key) % self.torn_every == 0
-
-    def should_truncate_wal(self, record_id: str) -> bool:
-        """WAL-side selection: tear the append of this record id once."""
-        return self.wal_trunc_every > 0 \
-            and self._digest(record_id) % self.wal_trunc_every == 0
-
-    def should_kill(self, key: str, phase: str) -> bool:
-        """Service-side selection: SIGKILL the process at ``phase``."""
-        return (self.kill_every > 0 and self.kill_phase == phase
-                and self._digest(key) % self.kill_every == 0)
 
     # ------------------------------------------------------------------
     # injection
@@ -243,24 +191,6 @@ class FaultPlan:
                 return  # a hung job that outlives the timeout is killed
             raise InjectedFault(
                 f"injected hang for job {key[:12]} (serial mode)")
-        if self.should_stall(key, attempt):
-            # A slow worker, not a dead one: sleep briefly and carry on.
-            time.sleep(self.stall_s)
         if self.should_crash(key, attempt):
             raise InjectedFault(
                 f"injected crash for job {key[:12]} attempt {attempt}")
-
-    def maybe_kill(self, key: str, phase: str,
-                   marker_dir: Union[str, "os.PathLike"]) -> None:
-        """SIGKILL the current process at ``phase`` if the plan selects
-        ``key`` -- once per (key, phase), recorded by a marker file so the
-        restarted process gets past the same point and recovery converges.
-        """
-        if not self.should_kill(key, phase):
-            return
-        marker = Path(marker_dir) / f"kill-{phase}-{key}"
-        if marker.exists():
-            return
-        marker.parent.mkdir(parents=True, exist_ok=True)
-        marker.write_text("killed once\n")
-        os.kill(os.getpid(), signal.SIGKILL)
