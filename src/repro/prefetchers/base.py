@@ -70,7 +70,16 @@ class Prefetcher(abc.ABC):
 
     @abc.abstractmethod
     def train(self, event: TrainingEvent) -> List[PrefetchRequest]:
-        """Observe one demand access; return prefetches to issue now."""
+        """Observe one demand access; return prefetches to issue now.
+
+        The returned list may be shared between calls (Berti returns the
+        list it built last time while nothing it depends on changed), so
+        callers must not mutate it.  The audited consumers only read it:
+        the system's prefetch issuer and commit drain, the shadow
+        prefetcher of :class:`~repro.core.classification.MissClassifier`,
+        the ``ts-`` wrapper (which builds a new list when it adds
+        requests) and the PREFENDER shim (which copies before adding).
+        """
 
     def on_fill(self, block: int, cycle: int, latency: int,
                 prefetched: bool) -> None:

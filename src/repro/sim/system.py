@@ -1252,17 +1252,32 @@ class System:
                         on_real(pf_block, time)
                     hierarchy_issue(pf_block, time, fill_level)
                 return
+            # hierarchy.issue_prefetch, inlined.  Its DRAM backlog
+            # throttle and L1D-MSHR demotion test read DRAM and MSHR state
+            # that only a request entering the memory system changes (a
+            # drop touches a counter and nothing else), so they are
+            # evaluated once per call and again only after such a request.
+            stale = True
             for pf_block, fill_level in requests:
                 if on_real is not None:
                     on_real(pf_block, time)
-                # hierarchy.issue_prefetch, inlined: the DRAM low-priority
-                # backlog throttle runs first, charging the *requested*
-                # fill level's drop counter.
-                reference = time + dram._service
-                bus_free = dram._bus_free
-                if bus_free > reference:
-                    reference = bus_free
-                if dram._bus_free_low - reference > dram._backlog_margin:
+                if stale:
+                    stale = False
+                    reference = time + dram._service
+                    bus_free = dram._bus_free
+                    if bus_free > reference:
+                        reference = bus_free
+                    backlogged = dram._bus_free_low - reference \
+                        > dram._backlog_margin
+                    # Berti's orchestration rule: demote to the L2 when
+                    # the L1D MSHRs are half occupied.  Unused while
+                    # backlogged: every request of the call is dropped.
+                    demote = not backlogged and 2 * (
+                        len(l1_mshr) - bisect_right(l1_mshr, time)) \
+                        >= mshr_limit
+                if backlogged:
+                    # The throttle runs first, charging the *requested*
+                    # fill level's drop counter.
                     if fill_level <= 0:
                         l1_stats.prefetches_dropped += 1
                     elif fill_level == 1:
@@ -1271,10 +1286,7 @@ class System:
                         llc_stats.prefetches_dropped += 1
                     continue
                 if fill_level <= 0:
-                    # Berti's orchestration rule: demote to the L2 when
-                    # the L1D MSHRs are half occupied.
-                    if 2 * (len(l1_mshr) - bisect_right(l1_mshr, time)) \
-                            >= mshr_limit:
+                    if demote:
                         fill_level = 1
                     elif pf_block in l1_sets[pf_block & l1_mask] \
                             or pf_block in l1_outstanding \
@@ -1290,6 +1302,7 @@ class System:
                             pf_block, time, REQ_PREFETCH, True, True)
                         del l1_pq[0]
                         insort(l1_pq, completion)
+                        stale = True
                         continue
                 if fill_level == 1:
                     if pf_block in l2_sets[pf_block & l2_mask] \
@@ -1302,8 +1315,10 @@ class System:
                             pf_block, time, REQ_PREFETCH, True, True)
                         del l2_pq[0]
                         insort(l2_pq, completion)
+                        stale = True
                 else:
                     llc_issue(pf_block, time)
+                    stale = True
         return issue
 
     # ------------------------------------------------------------------

@@ -12,8 +12,17 @@ depends entirely on which timestamps/latency the training events carry:
   GM fetch latency) -> the timely delta of Fig. 8 (green).
 """
 
-from repro.prefetchers.base import FILL_L1D, TrainingEvent
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.timely import make_timely
+from repro.core.tsb import TSBPrefetcher
+from repro.prefetchers.base import FILL_L1D, PrefetchRequest, TrainingEvent
 from repro.prefetchers.berti import BertiPrefetcher
+from repro.security.prefender import AccessObfuscationShim
 
 
 def stream_events(n, *, period, latency, ip=1, start_block=0,
@@ -169,3 +178,97 @@ class TestHousekeeping:
     def test_storage_order_of_table_iii(self):
         # Table III lists Berti at 2.55 KB.
         assert 0.5 <= BertiPrefetcher().storage_kb() <= 4.0
+
+
+def expected_requests(pf, event):
+    """``train``'s result for ``event``, recomputed from the IP's table."""
+    table = pf._deltas.get(event.ip)
+    if table is None or table.observations < pf.MIN_OBSERVATIONS:
+        return []
+    deltas = table.best_deltas(pf.L1_COVERAGE, pf.L2_COVERAGE)
+    targets = [PrefetchRequest(event.block + delta, fill)
+               for delta, fill in deltas if event.block + delta >= 0]
+    return targets[:pf.MAX_ISSUE]
+
+
+#: Field ranges of one random training event: IP, block, kind (miss, hit,
+#: prefetch hit), repeat the previous IP and block, cycles since the
+#: previous event, fetch latency and commit lag.  Few IPs and blocks, plus
+#: repeats, so that one table often sees the same block again.  An event
+#: is drawn as one integer: one draw per event keeps the streams, long
+#: enough for the tables to warm up, quick to generate.
+_FIELDS = (3, 25, 3, 2, 13, 41, 9)
+_STREAMS = st.lists(st.integers(0, math.prod(_FIELDS) - 1),
+                    min_size=100, max_size=300)
+
+
+def _fields(word):
+    fields = []
+    for size in _FIELDS:
+        word, value = divmod(word, size)
+        fields.append(value)
+    return fields
+
+
+class TestRequestReuse:
+    """``train`` returns the list it built last time while the trigger
+    block and the IP's best-delta list are unchanged.  These tests pin
+    that it never returns a stale list."""
+
+    def test_learning_on_the_same_block_rebuilds(self):
+        pf = BertiPrefetcher()
+        run(pf, stream_events(40, period=10, latency=10))
+        # Misses that cannot learn (no trigger is timely under this
+        # latency) fill the IP's history with block 1000.
+        cycle = 400
+        for _ in range(pf.HISTORY_PER_IP):
+            cycle += 10
+            pf.train(TrainingEvent(ip=1, block=1000, hit=False, cycle=cycle,
+                                   access_cycle=cycle, fetch_latency=10 ** 6,
+                                   hit_level=3))
+        hit = TrainingEvent(ip=1, block=1007, hit=True, cycle=cycle + 10,
+                            access_cycle=cycle + 10, fetch_latency=10,
+                            hit_level=0)
+        first = pf.train(hit)
+        # A miss on the same block learns +7 once per history entry,
+        # which puts +7 first among the best deltas.
+        second = pf.train(hit._replace(hit=False, cycle=cycle + 20,
+                                       access_cycle=cycle + 20,
+                                       hit_level=3))
+        assert [r.block for r in first] == [1008, 1009, 1010, 1011]
+        assert [r.block for r in second] == [1014, 1008, 1009, 1010]
+
+    @pytest.mark.parametrize("cls", [BertiPrefetcher, TSBPrefetcher])
+    @settings(max_examples=60, deadline=None)
+    @given(words=_STREAMS)
+    def test_every_result_matches_the_tables(self, cls, words):
+        pf = cls()
+        cycle = 0
+        ip = block = 0
+        for word in words:
+            next_ip, next_block, kind, repeat, gap, latency, lag = \
+                _fields(word)
+            if not repeat:
+                ip, block = next_ip, next_block
+            cycle += gap
+            event = TrainingEvent(
+                ip=ip, block=block, hit=kind > 0, cycle=cycle,
+                access_cycle=cycle - lag, fetch_latency=latency,
+                hit_level=0 if kind else 3, prefetch_hit=kind == 2)
+            assert pf.train(event) == expected_requests(pf, event)
+
+    @pytest.mark.parametrize("wrap", [AccessObfuscationShim, make_timely],
+                             ids=["prefender", "ts-berti"])
+    def test_wrappers_leave_the_shared_list_alone(self, wrap):
+        inner = BertiPrefetcher()
+        pf = wrap(inner)
+        run(pf, stream_events(40, period=10, latency=10))
+        hit = TrainingEvent(ip=1, block=39, hit=True, cycle=400,
+                            access_cycle=400, fetch_latency=10, hit_level=0)
+        pf.train(hit)
+        shared = inner._deltas[1]._requests
+        snapshot = list(shared)
+        assert snapshot
+        pf.train(hit)
+        assert inner.train(hit) is shared
+        assert shared == snapshot

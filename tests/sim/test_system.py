@@ -1,6 +1,8 @@
 """Single-core System: end-to-end runs, training modes, measurement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.timely import TimelyPrefetcher
 from repro.prefetchers import (MODE_ON_ACCESS, MODE_ON_COMMIT,
@@ -340,3 +342,34 @@ class TestBatchedCommitDrain:
                       "commit_refetches"):
             assert getattr(batched.gm, field) == \
                 getattr(reference.gm, field), field
+
+
+class TestPrefetchIssuer:
+    """``System._make_issuer``'s closure inlines
+    ``MemoryHierarchy.issue_prefetch``, evaluating its DRAM backlog
+    throttle and L1D-MSHR demotion test once per call and again only
+    after a request enters the memory system.  It must charge exactly
+    what the per-request reference charges."""
+
+    @staticmethod
+    def _state(system):
+        h = system.hierarchy
+        return ([level.stats.snapshot() for level in (h.l1d, h.l2, h.llc)],
+                h.dram.stats.snapshot(), h.dram._bus_free,
+                h.dram._bus_free_low)
+
+    @settings(max_examples=40, deadline=None)
+    @given(calls=st.lists(st.tuples(
+        st.integers(0, 40),
+        st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 2)),
+                 max_size=24)), max_size=30))
+    def test_closure_matches_the_reference(self, calls):
+        flat, reference = System(), System()
+        issue = flat._make_issuer()
+        time = 0
+        for gap, requests in calls:
+            time += gap
+            issue(requests, time)
+            for block, fill_level in requests:
+                reference.hierarchy.issue_prefetch(block, time, fill_level)
+            assert self._state(flat) == self._state(reference)
