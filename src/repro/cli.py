@@ -129,11 +129,14 @@ def _make_system(args, runner: Optional[ExperimentRunner] = None,
                  obs: Optional[ObsConfig] = None) -> System:
     if runner is None:
         runner = ExperimentRunner(scale=SCALES["small"])
-    prefetcher = runner.build_prefetcher(args.prefetcher)
     mode = MODE_ON_COMMIT if args.mode == "on-commit" else MODE_ON_ACCESS
-    return System(secure=args.secure, suf=args.suf,
-                  delay_mitigation=getattr(args, "delay", False),
-                  prefetcher=prefetcher, train_mode=mode, obs=obs)
+    try:
+        prefetcher = runner.build_prefetcher(args.prefetcher)
+        return System(secure=args.secure, suf=args.suf,
+                      delay_mitigation=getattr(args, "delay", False),
+                      prefetcher=prefetcher, train_mode=mode, obs=obs)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def cmd_workloads(args) -> int:

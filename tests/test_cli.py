@@ -190,6 +190,17 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit, match="--jobs must be a positive"):
             main(["figure", "fig1", "--jobs", "0", "--no-store"])
 
+    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--prefetcher", "nosuch"], "unknown prefetcher 'nosuch'"),
+        (["--prefetcher", "ts-nosuch"], "unknown prefetcher 'nosuch'"),
+        (["--suf"], "SUF requires the secure cache system"),
+    ])
+    def test_invalid_config_exits_with_message(self, command, flags,
+                                               message):
+        with pytest.raises(SystemExit, match=message):
+            main([command, "657.xz-2302B", "--loads", "200", *flags])
+
 
 class TestInterrupt:
     def test_keyboard_interrupt_exits_130(self, monkeypatch, capsys):
