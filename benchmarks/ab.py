@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""A/B the end-to-end benchmark: a base revision against the working tree.
+
+Checks BASE out into a temporary git worktree and, for each seed, runs
+each tree's own ``benchmarks/e2e/run.py``, appending its records to
+``DIR/base.json`` or ``DIR/change.json``: the base first on odd seeds,
+the working tree first on even ones.  A run that fails or is not
+``"correct": true`` stops it with exit 1; otherwise it exits with the
+status of the working tree's ``run.py compare`` (1 if a row regressed).
+Each tree compiles into its own empty bytecode cache: a tree whose
+``__pycache__`` is warm would otherwise skip compiling, which lowers its
+peak RSS by a megabyte or more against a fresh checkout.  The worktree
+is removed however the script ends, SIGTERM included.
+
+    python3 benchmarks/ab.py BASE --out DIR [--workload W] [--seeds S ...]
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import signal
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+RUN_PY = Path("benchmarks") / "e2e" / "run.py"
+
+
+def run(tree: Path, argv: list, pycache: Path) -> None:
+    """Run one tree's run.py, echoing its output; exit 1 unless it
+    succeeds and its last line reads ``"correct": true``."""
+    env = dict(os.environ, PYTHONPYCACHEPREFIX=str(pycache))
+    proc = subprocess.Popen([sys.executable, str(RUN_PY), *argv], cwd=tree,
+                            env=env, stdout=subprocess.PIPE, text=True)
+    last = ""
+    try:
+        for last in proc.stdout:
+            print(last, end="", flush=True)
+    finally:
+        if proc.poll() is None:   # interrupted: run.py stops its child
+            proc.terminate()
+        proc.wait()
+    if proc.returncode != 0 or not json.loads(last)["correct"]:
+        raise SystemExit(f"ab: run.py {' '.join(argv)} in {tree} exited "
+                         f"{proc.returncode}: {last.strip()}")
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("base", help="git revision to compare against")
+    parser.add_argument("--out", type=Path, required=True,
+                        help="directory for base.json and change.json")
+    parser.add_argument("--workload", help="one workload (default: all)")
+    parser.add_argument("--seeds", type=int, nargs="+",
+                        default=list(range(1, 11)), help="default: 1-10")
+    args = parser.parse_args()
+    out = {side: (args.out / f"{side}.json").resolve()
+           for side in ("base", "change")}
+    if any(path.exists() for path in out.values()):
+        parser.error(f"{args.out} already holds a base.json or change.json")
+    args.out.mkdir(parents=True, exist_ok=True)
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
+    workload = ["--workload", args.workload] if args.workload else []
+    with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
+        trees = {"base": Path(tmp) / "base", "change": ROOT}
+        add = ["git", "worktree", "add", "--detach", str(trees["base"]),
+               args.base]
+        if subprocess.run(add, cwd=ROOT).returncode:
+            raise SystemExit(f"ab: cannot check out {args.base}")
+        try:
+            for seed in args.seeds:
+                order = ("base", "change") if seed % 2 else ("change", "base")
+                for side in order:
+                    run(trees[side], ["--seed", str(seed), *workload,
+                                      "--out", str(out[side])],
+                        Path(tmp) / f"pycache-{side}")
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force",
+                            str(trees["base"])], cwd=ROOT)
+    return subprocess.run([sys.executable, str(RUN_PY), "compare",
+                           str(out["base"]), str(out["change"])],
+                          cwd=ROOT).returncode
+
+
+if __name__ == "__main__":
+    try:
+        sys.exit(main())
+    except KeyboardInterrupt:
+        sys.exit(130)

@@ -5,8 +5,8 @@ Runs one ``campaign-fig1`` workload through ``benchmarks/e2e/run.py`` and
 exits 1 unless the run is correct (``"correct": true`` on its last line)
 and its ``instr_per_ref`` is at least half the median of the untraced
 ``campaign-fig1`` runs in the committed ``benchmarks/e2e/results/set_a.json``.
-Half is the rule of ``benchmarks/perf/BENCH_ci_floor.json``: the gate
-trips on a gross slowdown or a wrong result, not on a slower runner.
+The factor is ×0.5 so that the gate trips on a gross slowdown or a wrong
+result, not on a slower runner.  It is a floor, never a measurement.
 
 Run from anywhere in the checkout::
 

@@ -24,11 +24,6 @@ Commands
     the expanded job plan, ``--resume`` continues from the store.
 ``tables``
     Print Tables I-III and the contribution storage budget.
-``bench``
-    Run the pinned performance-benchmark suites and emit a canonical
-    ``BENCH_<tag>.json``; ``--compare baseline.json`` flags throughput
-    regressions (the CI bench-smoke job runs this); ``--profile``
-    attaches a per-case cProfile hot-spot table.
 ``figcheck``
     Render every committed campaign spec and assert each figure metric
     stays within a stated epsilon of the pinned snapshot
@@ -56,9 +51,6 @@ Examples
     python -m repro sweep --scale small --jobs 4 --store .repro-store
     python -m repro campaign fig11 --scale tiny --jobs 2
     python -m repro campaign campaigns/matrix_demo.json --dry-run
-    python -m repro bench --suite macro --tag pr4
-    python -m repro bench --suite micro --compare BENCH_pr4.json
-    python -m repro bench --suite macro --profile
     python -m repro figcheck --epsilon 0.02
     python -m repro attack --secure --mode on-commit
     python -m repro attack --attack prime-probe --mitigation rand-llc
@@ -90,6 +82,11 @@ def _require_positive(value: int, flag: str) -> int:
     if value <= 0:
         raise SystemExit(f"{flag} must be a positive integer, got {value}")
     return value
+
+
+def _cannot_write(flag: str, path: str, exc: OSError) -> SystemExit:
+    """The clean CLI error for an output file that cannot be written."""
+    return SystemExit(f"{flag}: cannot write {path}: {exc.strerror or exc}")
 
 
 def _exec_options(args) -> ExecOptions:
@@ -183,7 +180,10 @@ def cmd_run(args) -> int:
         print(f"time series   : {len(result.timeseries)} interval(s) of "
               f"{interval} instructions")
         if args.timeseries:
-            fmt = write_timeseries(result.timeseries, args.timeseries)
+            try:
+                fmt = write_timeseries(result.timeseries, args.timeseries)
+            except OSError as exc:
+                raise _cannot_write("--timeseries", args.timeseries, exc)
             print(f"wrote {args.timeseries} ({fmt})")
     if args.metrics:
         print()
@@ -205,8 +205,11 @@ def cmd_trace(args) -> int:
     events = system.events
     text = events_jsonl(events)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _cannot_write("--output", args.output, exc)
         counts = ", ".join(f"{kind}={n}" for kind, n in
                            sorted(events.counts_by_kind().items()))
         print(f"wrote {args.output}: {len(events)} event(s) retained, "
@@ -456,53 +459,14 @@ def cmd_report(args) -> int:
         lines.append("")
     text = "\n".join(lines)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise _cannot_write("--output", args.output, exc)
         print(f"wrote {args.output} ({len(files)} sections)")
     else:
         print(text)
     return 0
-
-
-def cmd_bench(args) -> int:
-    """Run the pinned perf suites; emit/compare canonical BENCH json."""
-    from .perf import (bench_document, compare_docs, format_profiles,
-                      format_results, load_bench, run_suite, write_bench)
-    _exec_options(args)  # same flag validation as every other command
-    _require_positive(args.repeat, "--repeat")
-    if not 0 <= args.threshold < 1:
-        raise SystemExit(f"--threshold must be in [0, 1), "
-                         f"got {args.threshold}")
-    if args.input is not None and args.compare is None:
-        raise SystemExit("--input requires --compare (nothing to do)")
-    if args.input is not None:
-        doc = load_bench(args.input)
-        print(f"loaded {args.input} (tag {doc['tag']!r}, "
-              f"suite {doc['suite']!r})")
-    else:
-        progress = None if args.quiet \
-            else (lambda line: print(line, file=sys.stderr))
-        results = run_suite(args.suite, repeat=args.repeat,
-                            progress=progress, profile=args.profile)
-        print(format_results(results))
-        if args.profile:
-            print()
-            print(format_profiles(results))
-        doc = bench_document(results, tag=args.tag, suite=args.suite,
-                             repeat=args.repeat)
-        output = args.output if args.output else f"BENCH_{args.tag}.json"
-        write_bench(doc, output)
-        print(f"wrote {output}")
-    if args.compare is None:
-        return 0
-    baseline = load_bench(args.compare)
-    try:
-        report = compare_docs(baseline, doc, threshold=args.threshold)
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    print()
-    print(f"vs {args.compare} (tag {baseline['tag']!r}):")
-    print(report.format_table())
-    return 0 if report.ok else 1
 
 
 def cmd_figcheck(args) -> int:
@@ -720,36 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("tables", help="print Tables I-III")
 
-    bench_p = sub.add_parser(
-        "bench", help="run the pinned perf suites; emit BENCH_<tag>.json",
-        parents=[exec_parent])
-    bench_p.add_argument("--suite", choices=["micro", "macro", "all"],
-                         default="micro",
-                         help="which pinned suite to run (default: micro)")
-    bench_p.add_argument("--repeat", type=int, default=3,
-                         help="repeats per case; the best is kept "
-                              "(default: 3)")
-    bench_p.add_argument("--tag", default="local",
-                         help="tag naming the default output "
-                              "BENCH_<tag>.json (default: local)")
-    bench_p.add_argument("--output", metavar="FILE", default=None,
-                         help="output path (default: BENCH_<tag>.json)")
-    bench_p.add_argument("--input", metavar="FILE", default=None,
-                         help="compare an existing bench file instead of "
-                              "running (requires --compare)")
-    bench_p.add_argument("--compare", metavar="BASELINE", default=None,
-                         help="compare against this bench file; exit 1 "
-                              "on regression")
-    bench_p.add_argument("--threshold", type=float, default=0.2,
-                         help="regression threshold as a fraction "
-                              "(default: 0.2 = fail below 80%% of "
-                              "baseline)")
-    bench_p.add_argument("--quiet", action="store_true",
-                         help="suppress per-case progress on stderr")
-    bench_p.add_argument("--profile", action="store_true",
-                         help="add one untimed cProfile repeat per case "
-                              "and attach/print its top hot spots")
-
     fc_p = sub.add_parser(
         "figcheck",
         help="check every campaign figure against the pinned snapshot")
@@ -827,7 +761,6 @@ COMMANDS = {
     "sweep": cmd_sweep,
     "campaign": cmd_campaign,
     "tables": cmd_tables,
-    "bench": cmd_bench,
     "figcheck": cmd_figcheck,
     "attack": cmd_attack,
     "security-matrix": cmd_security_matrix,

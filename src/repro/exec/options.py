@@ -1,7 +1,7 @@
 """Shared CLI execution options: one parser, one resolution path.
 
 Every subcommand that drives simulations (``run``, ``figure``, ``sweep``,
-``multicore``, ``bench``, ``campaign``) historically re-declared the same
+``multicore``, ``campaign``) historically re-declared the same
 ``--jobs/--store/--no-store/--timeout`` flags and re-implemented their
 environment fallbacks.  This module is the single source of truth:
 

@@ -1,19 +1,17 @@
 """Validate exported observability files against their schemas.
 
-Usage (CI runs this against ``repro trace`` / ``--timeseries`` /
-``repro bench`` output)::
+Usage (CI runs this against ``repro trace`` / ``--timeseries`` output
+and the committed campaign specs)::
 
     python -m repro.obs.validate events.jsonl --kind events
     python -m repro.obs.validate ts.jsonl --kind timeseries
-    python -m repro.obs.validate BENCH_pr4.json --kind bench
     python -m repro.obs.validate campaigns/fig1.json --kind campaign
 
-``events`` and ``timeseries`` files are JSONL (one record per line);
-``bench`` files are a single JSON document, and ``campaign`` files are
-declarative campaign specs (validated through the full spec parser,
-including plan expansion).  Exit status 0 when everything parses and
-matches the schema; 1 otherwise, with the first offending line
-reported.
+``events`` and ``timeseries`` files are JSONL (one record per line), and
+``campaign`` files are declarative campaign specs (validated through the
+full spec parser, including plan expansion).  Exit status 0 when
+everything parses and matches the schema; 1 otherwise, with the first
+offending line reported.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ import json
 import sys
 from typing import List, Optional
 
-from ..perf.schema import validate_bench_record
 from .events import validate_event
 from .sampler import validate_timeseries_record
 
@@ -32,12 +29,8 @@ __all__ = ["main", "validate_file"]
 _VALIDATORS = {
     "events": validate_event,
     "timeseries": validate_timeseries_record,
-    "bench": validate_bench_record,
     "campaign": None,   # routed through the campaign spec parser
 }
-
-#: Kinds whose file is one JSON document rather than JSONL.
-_DOCUMENT_KINDS = ("bench",)
 
 
 def _validate_campaign(path: str) -> int:
@@ -53,24 +46,12 @@ def _validate_campaign(path: str) -> int:
 def validate_file(path: str, kind: str) -> int:
     """Validate one exported file; returns the number of valid records.
 
-    JSONL kinds count lines; document kinds (``bench``) count benchmark
-    result entries; ``campaign`` specs count expanded metric cells.
-    Raises ``ValueError`` naming the first bad line.
+    JSONL kinds count lines; ``campaign`` specs count expanded metric
+    cells.  Raises ``ValueError`` naming the first bad line.
     """
     if kind == "campaign":
         return _validate_campaign(path)
     validator = _VALIDATORS[kind]
-    if kind in _DOCUMENT_KINDS:
-        with open(path) as fh:
-            try:
-                doc = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}: not JSON ({exc})") from None
-        try:
-            validator(doc)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        return len(doc["results"])
     count = 0
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):

@@ -85,11 +85,6 @@ class TestSharedOptionErrors(object):
                            match="--jobs must be a positive"):
             main(["campaign", "fig12", "--jobs", "0", "--no-store"])
 
-    def test_bench_validates_exec_flags_identically(self):
-        with pytest.raises(SystemExit,
-                           match="--jobs must be a positive"):
-            main(["bench", "--jobs", "-2"])
-
     def test_run_validates_exec_flags_identically(self):
         with pytest.raises(SystemExit,
                            match="--timeout must be positive"):

@@ -25,6 +25,10 @@ import os
 from pathlib import Path
 
 from repro.campaign.figcheck import provenance
+from repro.core.tsb import TSBPrefetcher
+from repro.prefetchers.base import MODE_ON_ACCESS, MODE_ON_COMMIT
+from repro.prefetchers.registry import make_prefetcher
+from repro.sim.system import System
 
 #: Set to a truthy value to regenerate goldens inside the test run.
 REGEN_ENV = "REPRO_REGEN_GOLDEN"
@@ -57,6 +61,26 @@ def load_golden(path: Path, generate) -> dict:
         pytest.fail(f"golden file missing: {path} (regenerate with "
                     f"{REGEN_ENV}=1 or by running the owning test module)")
     return json.loads(path.read_text())
+
+
+def build_system(config: dict):
+    """A fresh :class:`~repro.sim.system.System` for one golden config.
+
+    ``config`` holds ``System`` keyword arguments, except that
+    ``prefetcher`` is a registry name (or ``"tsb"``) and ``on_commit``
+    selects the training mode.  Other keys pass through unchanged, so a
+    config may set any ``System`` argument, ``llc_scramble`` included.
+    """
+    kwargs = dict(config)
+    spec = kwargs.pop("prefetcher", None)
+    if spec == "tsb":
+        kwargs["prefetcher"] = TSBPrefetcher()
+    elif spec is not None:
+        kwargs["prefetcher"] = make_prefetcher(spec)
+    kwargs.setdefault("train_mode",
+                      MODE_ON_COMMIT if kwargs.pop("on_commit", False)
+                      else MODE_ON_ACCESS)
+    return System(**kwargs)
 
 
 def assert_provenance(golden: dict) -> None:

@@ -205,10 +205,10 @@ import json, sys
 sys.modules["numpy"] = None  # any 'import numpy' now raises ImportError
 from repro.sim.batch import HAVE_NUMPY
 assert HAVE_NUMPY is False, "poisoned numpy import must disable the backend"
-from repro.perf.suites import _system
+from goldenlib import build_system
 from repro.workloads.spec import spec_trace
 trace = spec_trace({workload!r}, {loads})
-system = _system({config})
+system = build_system({config})
 result = system.run(trace, warmup={warmup})
 print(json.dumps({{
     "committed": result.committed, "cycles": result.cycles,
@@ -229,8 +229,10 @@ def test_no_numpy_subprocess_bit_identical():
         config=dict(CONFIGS["baseline"]), warmup=GOLDEN_WARMUP)
     env = dict(os.environ)
     env.pop("REPRO_NO_NUMPY", None)
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    here = Path(__file__).resolve().parent
+    src = str(here.parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src, str(here), env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -25,9 +25,11 @@ from pathlib import Path
 import pytest
 
 try:
-    from .goldenlib import assert_provenance, load_golden, write_golden
+    from .goldenlib import (assert_provenance, build_system, load_golden,
+                            write_golden)
 except ImportError:  # direct script run: tests/sim is sys.path[0]
-    from goldenlib import assert_provenance, load_golden, write_golden
+    from goldenlib import (assert_provenance, build_system, load_golden,
+                           write_golden)
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "stats_golden.json"
 
@@ -36,7 +38,7 @@ GOLDEN_WORKLOAD = "605.mcf-1554B"
 GOLDEN_LOADS = 6000
 GOLDEN_WARMUP = 0.2
 
-#: Config kwargs in :func:`repro.perf.suites._system` form, one snapshot
+#: Config kwargs in :func:`goldenlib.build_system` form, one snapshot
 #: each: the unprotected baseline, a classic on-access prefetcher, and
 #: the paper's full secure stack (GhostMinion + SUF + TSB on-commit).
 #: The last three pin how wrong-path loads reach the hierarchy: the
@@ -56,11 +58,10 @@ CONFIGS = {
 
 
 def _run_snapshot(name):
-    from repro.perf.suites import _system
     from repro.workloads.spec import spec_trace
 
     trace = spec_trace(GOLDEN_WORKLOAD, GOLDEN_LOADS)
-    system = _system(dict(CONFIGS[name]))
+    system = build_system(CONFIGS[name])
     result = system.run(trace, warmup=GOLDEN_WARMUP)
     return {
         "committed": result.committed,

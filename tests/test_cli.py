@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import re
+
 import pytest
 
 import repro.cli as cli
@@ -200,6 +202,21 @@ class TestArgumentValidation:
                                                message):
         with pytest.raises(SystemExit, match=message):
             main([command, "657.xz-2302B", "--loads", "200", *flags])
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "657.xz-2302B", "--loads", "200"], "--timeseries"),
+        (["trace", "657.xz-2302B", "--loads", "200"], "--output"),
+        (["report", "--results-dir", "results"], "--output"),
+    ])
+    def test_unwritable_output_names_the_flag(self, tmp_path, monkeypatch,
+                                              argv, flag):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "results").mkdir()
+        (tmp_path / "results" / "fig1.txt").write_text("Fig. 1\n")
+        path = tmp_path / "missing" / "out.jsonl"
+        with pytest.raises(SystemExit,
+                           match=re.escape(f"{flag}: cannot write {path}")):
+            main([*argv, flag, str(path)])
 
 
 class TestInterrupt:
