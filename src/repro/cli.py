@@ -531,11 +531,12 @@ def cmd_attack(args) -> int:
         mode = MODE_ON_COMMIT if args.mode == "on-commit" \
             else MODE_ON_ACCESS
         runner = ExperimentRunner(scale=SCALES["small"])
-        prefetcher = runner.build_prefetcher(args.prefetcher) \
-            if args.prefetcher != "none" else None
-        result = run_prefetch_covert_channel(
-            secret, secure=args.secure, train_mode=mode,
-            prefetcher=prefetcher)
+        try:
+            result = run_prefetch_covert_channel(
+                secret, secure=args.secure, suf=args.suf, train_mode=mode,
+                prefetcher=runner.build_prefetcher(args.prefetcher))
+        except ValueError as exc:
+            raise SystemExit(str(exc))
     bits = "".join("?" if b is None else str(b)
                    for b in result.recovered_bits)
     print(f"secret    : {''.join(map(str, secret))}")

@@ -52,7 +52,7 @@ defended system via :mod:`repro.security.mitigations` and returns an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..prefetchers.base import MODE_ON_ACCESS, Prefetcher
 from ..prefetchers.registry import make_prefetcher
@@ -205,27 +205,32 @@ def _stride_channel(system: System, secret_bits: Sequence[int],
 def run_prefetch_covert_channel(
         secret_bits: Sequence[int], *,
         secure: bool = False,
+        suf: bool = False,
         train_mode: str = MODE_ON_ACCESS,
-        prefetcher: Optional[Prefetcher] = None,
+        prefetcher: Union[Prefetcher, str, None] = "ip-stride",
         params: Optional[SystemParams] = None,
         domain_flush: bool = True) -> AttackResult:
     """Mount the covert channel; return what the attacker recovered.
 
     The original low-level entry point (kept for the invisibility tests
-    and anyone composing a bespoke system): ``secure`` / ``train_mode``
-    / ``prefetcher`` select the defence level directly.  Matrix code
-    goes through :func:`run_attack`, which builds the system from a
-    registered mitigation instead.
+    and anyone composing a bespoke system): ``secure`` / ``suf`` /
+    ``train_mode`` / ``prefetcher`` select the defence level directly.
+    ``prefetcher`` is an instance, a registry name, or ``None`` for no
+    prefetcher.  Matrix code goes through :func:`run_attack`, which
+    builds the system from a registered mitigation instead.  Raises
+    ``ValueError`` for an unknown prefetcher name or SUF without
+    ``secure``.
     """
-    if prefetcher is None:
-        prefetcher = make_prefetcher("ip-stride")
+    if isinstance(prefetcher, str):
+        prefetcher = make_prefetcher(prefetcher)
     if params is None:
         # The attack runs on an otherwise quiet machine: a real controller
         # would not throttle the trickle of prefetches the victim triggers,
         # so relax the bandwidth-saturation backpressure.
         params = attack_params()
-    system = System(params=params, secure=secure, prefetcher=prefetcher,
-                    train_mode=train_mode, label="covert-channel")
+    system = System(params=params, secure=secure, suf=suf,
+                    prefetcher=prefetcher, train_mode=train_mode,
+                    label="covert-channel")
     return _stride_channel(system, secret_bits, transient=True,
                            domain_flush=domain_flush)
 

@@ -12,25 +12,28 @@ This is the workhorse substrate of the reproduction.  Each
   later requests only once the data has actually arrived (requests arriving
   earlier merge, which is how classic *late prefetches* are detected).
 
-The model is functional rather than event-driven: ``access`` is called with
-the cycle at which the request arrives and returns the cycle at which data is
-available.  The simulator guarantees requests are generated in (near)
-non-decreasing time order, so next-free bookkeeping for ports, MSHRs, and the
-PQ models contention faithfully.
+The model is functional rather than event-driven: the hierarchy walk
+(:func:`repro.sim.flatwalk.make_flat_descent`) is called with the cycle at
+which a request arrives and returns the cycle at which data is available.
+The simulator guarantees requests are generated in (near) non-decreasing
+time order, so next-free bookkeeping for ports, MSHRs, and the PQ models
+contention faithfully.  This module holds each level's state and the
+operations one level performs alone: merges, fills, evictions,
+writebacks, commit writes and the prefetch queue.
 
 Where the secure pipeline touches this module: a speculative load under
 GhostMinion walks the hierarchy with ``update=False, fill=False`` (the
 *invisible* walk -- observe latency, change nothing), and its commit later
-arrives as ``commit_write`` / a ``REQ_COMMIT`` access, the redundant
+arrives as ``commit_write`` / a ``REQ_COMMIT`` walk, the redundant
 traffic Section III-A measures and the SUF (Section IV) filters.  The
 ``LEVEL_*`` constants below are the SUF's 2-bit hit-level encoding; the
 latency each level returns also feeds TSB's X-LQ (Section V) so
 commit-time training sees access-time timing.
 
-Hot-path conventions (docs/PERFORMANCE.md): the recursive descent passes
-arguments positionally (keyword passing costs ~3x in CPython), request
-types are compared with ``is`` against the interned ``REQ_*`` constants,
-and :class:`Line` is slotted.  None of this changes behaviour -- the
+Hot-path conventions (docs/PERFORMANCE.md): the walk passes arguments
+positionally (keyword passing costs ~3x in CPython), request types are
+compared with ``is`` against the interned ``REQ_*`` constants, and
+:class:`Line` is slotted.  None of this changes behaviour -- the
 golden-stats tests pin bit-identical counters.
 """
 
@@ -41,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .params import CacheParams
 from .stats import (CacheStats, REQ_COMMIT, REQ_LOAD, REQ_PREFETCH,
-                    REQ_STORE, REQ_WRITEBACK)
+                    REQ_WRITEBACK)
 
 #: Hierarchy levels used for SUF hit-level encoding (Section IV).
 LEVEL_L1D = 0
@@ -153,9 +156,6 @@ class _SlotPool:
         """Number of slots busy at ``time`` (next-free strictly later)."""
         return len(self.times) - bisect_right(self.times, time)
 
-    def full(self, time: int) -> bool:
-        return self.times[0] > time
-
 
 class CacheLevel:
     """One level of the cache hierarchy."""
@@ -182,16 +182,17 @@ class CacheLevel:
         self._mshrs = _SlotPool(params.mshrs)
         self._pq = _SlotPool(params.pq_entries)
         self._outstanding: Dict[int, _MSHREntry] = {}
-        # Hot-path hoists: immutable params read on every access, and the
+        # Hot-path hoists, read once by every walk built over this level
+        # (flatwalk): immutable params read on every access, and the
         # bound port-acquire method (skips one attribute lookup + frame
-        # per charge).  ``access`` is the hottest function in the whole
+        # per charge).  The walk is the hottest code in the whole
         # simulator; see docs/PERFORMANCE.md.
         self._latency = params.latency
         self._ways = params.ways
         self._port_acquire = self._ports.acquire
-        # Port fast-path hoists (see ``access``): with a free port at the
-        # request cycle the charge is one dict store and the start cycle
-        # is the request cycle itself; only saturated cycles take the
+        # Port fast-path hoists: with a free port at the request cycle
+        # the charge is one dict store and the start cycle is the
+        # request cycle itself; only saturated cycles take the
         # walk-forward method call.
         self._port_counts = self._ports.counts
         self._port_n = params.ports
@@ -239,105 +240,11 @@ class CacheLevel:
             for set_ in self.sets)
 
     # ------------------------------------------------------------------
-    # main access path
+    # probes and merges (the walk itself is flatwalk.make_flat_descent)
     # ------------------------------------------------------------------
 
-    def access(self, block: int, time: int, rtype: str,
-               update: bool = True, fill: bool = True,
-               count_useful: bool = True) -> Tuple[int, int]:
-        """Service a request for ``block`` arriving at ``time``.
-
-        Returns ``(completion_time, served_level)`` where ``served_level`` is
-        the hierarchy level that provided the data (``LEVEL_L1D`` ..
-        ``LEVEL_DRAM``).
-
-        ``update=False`` models GhostMinion's speculative probe: hits do not
-        touch replacement state.  ``fill=False`` means a miss does not install
-        the line at this level (the data bypasses to the GM); the miss still
-        consumes an MSHR and port bandwidth, as GhostMinion's MSHRs do.
-        (The flags are positional-friendly: keyword passing costs real time
-        on the recursive descent, the hottest call chain in the simulator.)
-        """
-        self._accesses[rtype] += 1
-        # _PortBucket.acquire's free-port arm, inlined (the trim counter
-        # is maintained so the occasional slow-path call still prunes).
-        counts = self._port_counts
-        pc = counts.get(time, 0)
-        if pc < self._port_n:
-            counts[time] = pc + 1
-            self._ports._acquires += 1
-            start = time
-        else:
-            start = self._port_acquire(time)
-        # ``demand`` (is this a load/store?) is only consulted on the
-        # rarer paths, so it is derived lazily there; the REQ_* constants
-        # are module-level interned strings, making ``is`` tests exact.
-
-        line = self.sets[block & self._set_mask].get(block)
-        if line is not None:
-            ready = start + self._latency
-            if line.fill_time <= ready:
-                # Plain hit.
-                self._hits[rtype] += 1
-                if update:
-                    line.last_touch = time
-                    line.rrpv = 0
-                    if rtype is REQ_STORE:
-                        line.dirty = True
-                if line.prefetched and count_useful \
-                        and not line.was_demand_hit \
-                        and (rtype is REQ_LOAD or rtype is REQ_STORE):
-                    line.was_demand_hit = True
-                    self.stats.prefetches_useful += 1
-                    if self.events is not None:
-                        self.events.emit("pf_use", time, block, self.name)
-                # fill_time <= ready was just checked: ready is the max.
-                return ready, self.level
-            # Line is being filled: merge with the in-flight fill.
-            return self._merge(block, line.fill_time, line.prefetched,
-                               start, rtype,
-                               rtype is REQ_LOAD or rtype is REQ_STORE,
-                               count_useful, line)
-
-        entry = self._outstanding.get(block)
-        if entry is not None:
-            entry_fill_time = entry[0]
-            if entry_fill_time <= start:
-                # Stale entry from a bypassing (fill=False) miss; the data is
-                # no longer in flight here.
-                del self._outstanding[block]
-            else:
-                return self._merge(block, entry_fill_time,
-                                   entry[1], start, rtype,
-                                   rtype is REQ_LOAD or rtype is REQ_STORE,
-                                   count_useful, None)
-
-        # True miss: allocate an MSHR and fetch from the next level.  The
-        # update/fill flags propagate down so a GhostMinion speculative walk
-        # leaves no state anywhere in the non-speculative hierarchy.
-        self._misses[rtype] += 1
-        alloc = self._mshr_acquire(start)
-        send = alloc + self._latency
-        completion, served = self.next.access(
-            block, send, rtype, update, fill, count_useful)
-        self._mshr_fill(block, completion, rtype is REQ_PREFETCH, start)
-
-        if fill:
-            self.insert(block, completion,
-                        rtype is REQ_PREFETCH,
-                        rtype is REQ_STORE,
-                        latency=completion - time)
-            # The line itself now carries the in-flight state.
-            self._outstanding.pop(block, None)
-
-        if rtype is REQ_LOAD:
-            stats = self.stats
-            stats.load_miss_latency_sum += completion - time
-            stats.load_miss_latency_count += 1
-        return completion, served
-
     def probe(self, block: int, time: int, rtype: str) -> bool:
-        """Tag probe without recursion, fills, or replacement update.
+        """Tag probe without a descent, fills, or replacement update.
 
         Models the L1D lookup performed in parallel with a GM access: it
         consumes a port and is counted as an access, but a probe miss does
@@ -505,12 +412,13 @@ class CacheLevel:
     # prefetch queue
     # ------------------------------------------------------------------
 
-    def issue_prefetch(self, block: int, time: int, *,
-                       fill: bool = True) -> bool:
+    def issue_prefetch(self, block: int, time: int, walk) -> bool:
         """Issue one prefetch request at this level.
 
-        Returns ``True`` when the request entered the memory system (counted
-        as issued), ``False`` when it was dropped (already present, in
+        ``walk`` is the hierarchy walk rooted at this level
+        (``MemoryHierarchy`` builds one per prefetch fill level).  Returns
+        ``True`` when the request entered the memory system (counted as
+        issued), ``False`` when it was dropped (already present, in
         flight, or PQ full).
         """
         if block in self.sets[block & self._set_mask] \
@@ -528,9 +436,9 @@ class CacheLevel:
         self.stats.prefetches_issued += 1
         if self.events is not None:
             self.events.emit("pf_issue", time, block, self.name)
-        completion, _ = self.access(block, time, REQ_PREFETCH, True, fill)
-        # The access above never touches the PQ, so the head is still the
-        # slot this prefetch claimed.
+        completion, _ = walk(block, time, REQ_PREFETCH)
+        # The walk never touches the PQ, so the head is still the slot
+        # this prefetch claimed.
         del pq_times[0]
         insort(pq_times, completion)
         return True
@@ -548,34 +456,6 @@ class CacheLevel:
     def mshr_occupancy(self, time: int) -> int:
         """MSHRs busy at ``time`` (prefetch orchestration reads this)."""
         return self._mshrs.occupancy(time)
-
-    def _mshr_acquire(self, time: int) -> int:
-        # The pool list is sorted (see _SlotPool): the earliest-free slot
-        # is the head, and the busy count is one bisect away -- no O(N)
-        # scans on the allocation path.
-        stats = self.stats
-        times = self._mshr_times
-        free_at = times[0]
-        stats.mshr_occupancy_sum += len(times) - bisect_right(times, time)
-        stats.mshr_occupancy_samples += 1
-        if free_at > time:
-            stats.mshr_full_events += 1
-            stats.mshr_full_wait_cycles += free_at - time
-            start = free_at
-        else:
-            start = time
-        # The claimed slot simply stays popped until ``_mshr_fill`` inserts
-        # the true fill time: the pair always runs back-to-back at a given
-        # level (the recursion between them only descends), so nothing can
-        # observe the one-short pool and the placeholder insort + search
-        # the old scheme paid per miss is gone.
-        del times[0]
-        return start
-
-    def _mshr_fill(self, block: int, fill_time: int, is_prefetch: bool,
-                   issue_time: int) -> None:
-        insort(self._mshr_times, fill_time)
-        self._outstanding[block] = (fill_time, is_prefetch, issue_time)
 
     # ------------------------------------------------------------------
 
@@ -601,10 +481,11 @@ class ScrambledBackend:
     The adapter fronts only the level it wraps (here: the LLC); upper
     levels keep physical indexing, matching the deployments described in
     the papers (randomization at the shared outer level where conflict
-    channels are mounted).  It exposes the ``access`` /
-    ``receive_writeback`` / ``issue_prefetch`` / ``contains`` duck type
-    of :class:`CacheLevel`, translating the block argument and passing
-    everything else through positionally (hot-path convention).
+    channels are mounted).  It exposes the ``receive_writeback`` /
+    ``issue_prefetch`` / ``contains`` duck type of :class:`CacheLevel`,
+    translating the block argument and passing everything else through
+    positionally (hot-path convention).  A walk that crosses it
+    translates the block itself (``flatwalk.make_flat_descent``).
     """
 
     __slots__ = ("level", "seed")
@@ -622,44 +503,31 @@ class ScrambledBackend:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
-    def access(self, block: int, time: int, rtype: str,
-               update: bool = True, fill: bool = True,
-               count_useful: bool = True) -> Tuple[int, int]:
-        return self.level.access(self.scramble(block), time, rtype,
-                                 update, fill, count_useful)
-
     def receive_writeback(self, block: int, time: int, dirty: bool = False,
                           gm_propagate: bool = False,
                           wbb: bool = False) -> None:
         self.level.receive_writeback(self.scramble(block), time, dirty,
                                      gm_propagate, wbb)
 
-    def issue_prefetch(self, block: int, time: int, *,
-                       fill: bool = True) -> bool:
-        return self.level.issue_prefetch(self.scramble(block), time,
-                                         fill=fill)
+    def issue_prefetch(self, block: int, time: int, walk) -> bool:
+        """Issue at the wrapped level; ``walk`` is rooted there and so
+        takes the scrambled block."""
+        return self.level.issue_prefetch(self.scramble(block), time, walk)
 
     def contains(self, block: int, time: Optional[int] = None) -> bool:
         return self.level.contains(self.scramble(block), time)
 
 
 class MemoryBackend:
-    """Terminal backend adapting :class:`~repro.sim.dram.DRAMChannel`.
+    """The last level's writeback sink in front of the DRAM channel.
 
-    Exposes the same ``access``/``receive_writeback`` duck type as
-    :class:`CacheLevel` so the hierarchy recursion terminates cleanly.
+    The LLC's ``next``: a dirty line evicted from it is written to
+    :class:`~repro.sim.dram.DRAMChannel`.  Reads reach DRAM through the
+    hierarchy walks, which take the channel directly.
     """
 
     def __init__(self, dram) -> None:
         self.dram = dram
-
-    def access(self, block: int, time: int, rtype: str,
-               update: bool = True, fill: bool = True,
-               count_useful: bool = True) -> Tuple[int, int]:
-        del update, fill, count_useful
-        return (self.dram.access(block, time,
-                                 rtype is REQ_LOAD or rtype is REQ_STORE),
-                LEVEL_DRAM)
 
     def receive_writeback(self, block: int, time: int, dirty: bool = False,
                           gm_propagate: bool = False,

@@ -48,15 +48,6 @@ class CoreModel:
         """The front end's current dispatch cycle."""
         return self._dispatch_cycle
 
-    @property
-    def retire_frontier(self) -> int:
-        """Cycle at which the most recent in-order retirement happened.
-
-        A load reaching this point is the oldest instruction in flight --
-        delay-based mitigations use it as the "safe to issue" horizon.
-        """
-        return self._retire_cycle
-
     def occupancy(self) -> dict:
         """Point-in-time ROB/LQ depths (read by the interval sampler)."""
         return {"rob": len(self._rob), "lq": len(self._lq)}

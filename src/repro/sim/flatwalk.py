@@ -1,25 +1,27 @@
-"""Flattened cache-hierarchy descent (one frame for the whole walk).
+"""The cache-hierarchy walk: one frame for the whole descent.
 
-``make_flat_descent`` builds a closure that is a *semantically identical
-twin* of the recursive ``CacheLevel.access`` chain (which stays the
-readable reference): same counters bumped in the same order, same
-port/MSHR charges, same completion arithmetic.  The win is structural --
-one Python frame for the whole descent instead of one per level plus the
-``MemoryBackend`` adapter and the ``_mshr_acquire`` helper, with every
-collaborator hoisted into closure cells once instead of re-read through
-``self`` per call.
+``make_flat_descent`` builds the closure that every request takes
+through the cache levels: demand loads and stores, GhostMinion's
+invisible probe (``update=False, fill=False``), commit re-fetches and
+prefetches.  A miss claims the level's MSHR and descends, charging each
+level's port, to the level that hits, to an in-flight fill it merges
+with, or to DRAM; the unwind then releases each MSHR at the completion
+time and installs the line (``fill=True``) or leaves an in-flight entry
+for later requests to merge with (``fill=False``).
 
-The entry level is fully specialized (individual cells, no per-level
-tuple unpack) because most calls resolve there: under GhostMinion every
-speculative load takes this path and the majority are L1D hits.  Deeper
-levels run a generic loop over per-level hoist tuples -- by then the
-call is a miss descent and the unpack is amortized by the MSHR/DRAM
-work.
+Every collaborator is hoisted into closure cells once instead of re-read
+through ``self`` per call.  The entry level is fully specialized
+(individual cells, no per-level tuple unpack) because most calls resolve
+there: under GhostMinion every speculative load takes this path and the
+majority are L1D hits.  Deeper levels run a generic loop over per-level
+hoist tuples -- by then the call is a miss descent and the unpack is
+amortized by the MSHR/DRAM work.
 
-Only built for plain chains (no ``ScrambledBackend`` between levels, see
-``MemoryHierarchy``); with an event trace attached to any level in the
-chain the walk defers to the recursive path so emission sites stay in
-one place.
+Below a rand-llc ``ScrambledBackend`` in the chain, the level behind it,
+its in-flight entries, its fills and DRAM see the scrambled block; the
+levels above keep the physical one.  With events attached, the walk
+emits ``pf_use`` at its plain hits; ``CacheLevel._merge``, ``insert``
+and ``_evict`` emit the rest.
 """
 
 from __future__ import annotations
@@ -27,22 +29,32 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from typing import Tuple
 
+from .cache import LEVEL_DRAM, ScrambledBackend
 from .stats import REQ_COMMIT, REQ_LOAD, REQ_PREFETCH, REQ_STORE
 
-#: Mirror of ``cache.LEVEL_DRAM`` (imported lazily to avoid a cycle).
-_LEVEL_DRAM = 3
+
+def _hoist(lvl):
+    """A lower level's collaborators, led by its scramble (or ``None``)."""
+    scramble = None
+    if isinstance(lvl, ScrambledBackend):
+        scramble, lvl = lvl.scramble, lvl.level
+    return (scramble, lvl.sets, lvl._set_mask, lvl._port_counts,
+            lvl._port_n, lvl._ports, lvl._port_acquire, lvl._latency,
+            lvl._outstanding, lvl._mshr_times, lvl.stats, lvl._accesses,
+            lvl._hits, lvl._misses, lvl, lvl.level)
 
 
 def make_flat_descent(levels: Tuple, dram):
-    """Build a one-frame walk of ``levels`` terminating in ``dram``."""
-    lower = tuple(
-        (lvl.sets, lvl._set_mask, lvl._port_counts, lvl._port_n,
-         lvl._ports, lvl._port_acquire, lvl._latency, lvl._outstanding,
-         lvl._mshr_times, lvl.stats, lvl._accesses, lvl._hits,
-         lvl._misses, lvl, lvl.level)
-        for lvl in levels[1:])
+    """Build a one-frame walk of ``levels`` terminating in ``dram``.
+
+    ``levels[0]`` is the ``CacheLevel`` the walk is rooted at; a later
+    entry may be a ``ScrambledBackend``.  The walk returns
+    ``(completion_time, served_level)``.  ``update=False`` leaves
+    replacement state alone on hits, and ``fill=False`` installs nothing
+    (the data bypasses to the GM) but still claims MSHRs and ports.
+    """
+    lower = tuple(_hoist(lvl) for lvl in levels[1:])
     entry = levels[0]
-    entry_access = entry.access
     # Entry-level collaborators as individual closure cells.
     e_sets = entry.sets
     e_mask = entry._set_mask
@@ -60,22 +72,14 @@ def make_flat_descent(levels: Tuple, dram):
     e_merge = entry._merge
     e_insert = entry.insert
     e_level = entry.level
-    watch = levels[1:]
     dram_access = dram.access
 
     def descend(block, time, rtype, update=True, fill=True,
                 count_useful=True):
-        if entry.events is not None:
-            return entry_access(block, time, rtype, update, fill,
-                                count_useful)
-        for lvl in watch:
-            if lvl.events is not None:
-                return entry_access(block, time, rtype, update, fill,
-                                    count_useful)
         # ------------------------------------------------------- entry
         e_accesses[rtype] += 1
-        # _PortBucket.acquire's free-port arm, inlined (same trim
-        # accounting as the recursive path).
+        # _PortBucket.acquire's free-port arm, inlined (the trim counter
+        # is kept, so the occasional slow-path call still prunes).
         pc = e_counts.get(time, 0)
         if pc < e_port_n:
             e_counts[time] = pc + 1
@@ -99,6 +103,8 @@ def make_flat_descent(levels: Tuple, dram):
                         and (rtype is REQ_LOAD or rtype is REQ_STORE):
                     line.was_demand_hit = True
                     e_stats.prefetches_useful += 1
+                    if entry.events is not None:
+                        entry.events.emit("pf_use", time, block, entry.name)
                 return ready, e_level
             return e_merge(block, line.fill_time, line.prefetched, start,
                            rtype, rtype is REQ_LOAD or rtype is REQ_STORE,
@@ -107,6 +113,8 @@ def make_flat_descent(levels: Tuple, dram):
         if entry_o is not None:
             entry_fill = entry_o[0]
             if entry_fill <= start:
+                # Stale entry from a bypassing (fill=False) miss: the data
+                # is no longer in flight here.
                 del e_outstanding[block]
                 entry_o = None
             else:
@@ -114,8 +122,10 @@ def make_flat_descent(levels: Tuple, dram):
                                rtype,
                                rtype is REQ_LOAD or rtype is REQ_STORE,
                                count_useful, None)
-        # True miss at the entry level: claim an MSHR (_mshr_acquire,
-        # inlined) and take the generic descent below.
+        # True miss at the entry level: claim an MSHR (the sorted pool's
+        # head, see _SlotPool) and take the generic descent below.  The
+        # slot stays popped until the unwind inserts its fill time; the
+        # descent between cannot observe the one-short pool.
         demand = rtype is REQ_LOAD or rtype is REQ_STORE
         is_store = rtype is REQ_STORE
         is_load = rtype is REQ_LOAD
@@ -133,13 +143,15 @@ def make_flat_descent(levels: Tuple, dram):
             alloc = start
         del e_mshr_times[0]
         pending = [(e_mshr_times, e_stats, e_outstanding, e_insert, time,
-                    start)]
+                    start, block)]
         t = alloc + e_latency
         # ------------------------------------------------- lower levels
         completion = served = None
-        for (sets, mask, counts, port_n, ports, port_acquire, latency,
-             outstanding, mshr_times, stats, accesses, hits, misses,
-             lvl_obj, lvl_num) in lower:
+        for (scramble, sets, mask, counts, port_n, ports, port_acquire,
+             latency, outstanding, mshr_times, stats, accesses, hits,
+             misses, lvl_obj, lvl_num) in lower:
+            if scramble is not None:
+                block = scramble(block)
             accesses[rtype] += 1
             pc = counts.get(t, 0)
             if pc < port_n:
@@ -162,6 +174,9 @@ def make_flat_descent(levels: Tuple, dram):
                             and not line.was_demand_hit and demand:
                         line.was_demand_hit = True
                         stats.prefetches_useful += 1
+                        if lvl_obj.events is not None:
+                            lvl_obj.events.emit("pf_use", t, block,
+                                                lvl_obj.name)
                     completion = ready
                     served = lvl_num
                     break
@@ -192,23 +207,22 @@ def make_flat_descent(levels: Tuple, dram):
                 alloc = start
             del mshr_times[0]
             pending.append((mshr_times, stats, outstanding,
-                            lvl_obj.insert, t, start))
+                            lvl_obj.insert, t, start, block))
             t = alloc + latency
         else:
             completion = dram_access(block, t, demand)
-            served = _LEVEL_DRAM
-        # Unwind inner-first, exactly as the recursion returns:
-        # _mshr_fill then (with fill) insert; the fill=True case skips
-        # the transient outstanding entry _mshr_fill would add only for
-        # insert's sibling pop to remove again.
-        for (mshr_times, stats, outstanding, insert, arrival,
-             start) in reversed(pending):
+            served = LEVEL_DRAM
+        # Unwind inner-first, each level with its own block: release the
+        # MSHR at the completion time, then install the line (fill) or
+        # leave the in-flight entry a later request merges with.
+        for (mshr_times, stats, outstanding, insert, arrival, start,
+             blk) in reversed(pending):
             insort(mshr_times, completion)
             if fill:
-                insert(block, completion, is_pf, is_store,
+                insert(blk, completion, is_pf, is_store,
                        latency=completion - arrival)
             else:
-                outstanding[block] = (completion, is_pf, start)
+                outstanding[blk] = (completion, is_pf, start)
             if is_load:
                 stats.load_miss_latency_sum += completion - arrival
                 stats.load_miss_latency_count += 1
@@ -246,6 +260,11 @@ def make_refetch_batch(levels: Tuple, dram):
     block's own descent and DRAM service, and GhostMinion's
     timestamp-ordering invariants are untouched (the drain applies GM
     updates before collecting the window).
+
+    ``levels`` is a plain chain of ``CacheLevel`` objects: the batch
+    knows no scramble.  A commit re-fetch is no demand request, so the
+    batch emits no ``pf_use``; its other events come from ``_merge``
+    and ``insert``.
     """
     hoists = tuple(
         (lvl.sets, lvl._set_mask, lvl._port_counts, lvl._port_n,
@@ -253,16 +272,9 @@ def make_refetch_batch(levels: Tuple, dram):
          lvl._mshr_times, lvl.stats, lvl._accesses, lvl._hits,
          lvl._misses, lvl, lvl.level)
         for lvl in levels)
-    entry_access = levels[0].access
     dram_batch = dram.access_batch
 
     def refetch_batch(pairs):
-        for lvl in levels:
-            if lvl.events is not None:
-                # Event tracing active: defer to the recursive reference
-                # walk so emission sites stay in one place.
-                return [entry_access(block, t, REQ_COMMIT)[0]
-                        for block, t in pairs]
         results = [0] * len(pairs)
         dram_reqs = []
         dram_pend = []

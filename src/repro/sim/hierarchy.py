@@ -28,7 +28,7 @@ from .flatwalk import make_flat_descent, make_refetch_batch
 from .dram import DRAMChannel
 from .ghostminion import GhostMinionCache
 from .params import SystemParams
-from .stats import GhostMinionStats, REQ_COMMIT, REQ_LOAD, REQ_STORE
+from .stats import GhostMinionStats, REQ_COMMIT, REQ_LOAD
 
 
 class LoadResult(NamedTuple):
@@ -81,29 +81,25 @@ class MemoryHierarchy:
         # Hot-path hoists (demand_load runs once per load): bound methods
         # of the fixed collaborators and the constants behind a GM hit's
         # latency and the prefetch-demotion threshold.
-        #: Demand walks rooted at the L1D and at the L2 (the prefetch
-        #: issuer's fill levels): the recursive ``access`` or its flat twin.
-        self._l1d_access = self.l1d.access
-        self._l2_access = self.l2.access
+        #: The hierarchy walks (flatwalk.make_flat_descent) rooted at the
+        #: L1D, the L2 and the LLC, one per prefetch fill level.  The
+        #: upper two cross ``llc_front``, so under rand-llc the LLC and
+        #: DRAM see the scrambled block; the LLC walk is entered by
+        #: ``llc_front.issue_prefetch``, which scrambles first.  The
+        #: closures live here, never on the levels they walk: a level
+        #: holding a closure over its own bound methods would be a
+        #: reference cycle, and a finished system must be freed by
+        #: refcounting alone.
+        self._l1d_access = make_flat_descent(
+            (self.l1d, self.l2, self.llc_front), self.dram)
+        self._l2_access = make_flat_descent(
+            (self.l2, self.llc_front), self.dram)
+        self._llc_access = make_flat_descent((self.llc,), self.dram)
         #: Batched commit re-fetch resolver (see flatwalk); ``None`` when
         #: the chain is scrambled and the drain must re-fetch per block.
-        self._refetch_batch = None
-        if self.llc_front is self.llc:
-            # Plain chain (no index-randomization adapter): install the
-            # flattened one-frame descents.  Each is a semantically
-            # identical twin of the recursive walk (make_flat_descent);
-            # with events attached they defer to the recursive path, so
-            # tracing semantics are unchanged.  The closures live here,
-            # never on the levels they walk: a level holding a closure
-            # over its own bound methods would be a reference cycle, and
-            # a finished system must be freed by refcounting alone.
-            self._l1d_access = make_flat_descent(
-                (self.l1d, self.l2, self.llc), self.dram)
-            self._l2_access = make_flat_descent(
-                (self.l2, self.llc), self.dram)
-            if secure:
-                self._refetch_batch = make_refetch_batch(
-                    (self.l1d, self.l2, self.llc), self.dram)
+        self._refetch_batch = make_refetch_batch(
+            (self.l1d, self.l2, self.llc), self.dram) \
+            if secure and self.llc_front is self.llc else None
         self._l1d_mshrs = params.l1d.mshrs
         #: Identity-stable alias of the L1D MSHR next-free times (the pool
         #: mutates the list in place); read by the prefetch-demotion check.
@@ -183,11 +179,6 @@ class MemoryHierarchy:
             gm.fill(block, completion, timestamp, fetch_latency,
                     not count_useful)
         return LoadResult(completion, served, False, fetch_latency)
-
-    def demand_store(self, block: int, time: int) -> int:
-        """Write one committed store into the L1D (at retire time)."""
-        completion, _ = self._l1d_access(block, time, REQ_STORE)
-        return completion
 
     # ------------------------------------------------------------------
     # commit path (secure mode)
@@ -309,10 +300,11 @@ class MemoryHierarchy:
                     >= self._l1d_mshrs:
                 fill_level = LEVEL_L2
             else:
-                return self.l1d.issue_prefetch(block, time)
+                return self.l1d.issue_prefetch(block, time,
+                                               self._l1d_access)
         if fill_level == LEVEL_L2:
-            return self.l2.issue_prefetch(block, time)
-        return self.llc_front.issue_prefetch(block, time)
+            return self.l2.issue_prefetch(block, time, self._l2_access)
+        return self.llc_front.issue_prefetch(block, time, self._llc_access)
 
     # ------------------------------------------------------------------
 

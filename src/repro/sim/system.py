@@ -333,10 +333,11 @@ class System:
         tested only where a transient load behaves differently: the
         delay-on-miss squash, usefulness marking, the GM fill's transient
         flag, the SUF / X-LQ / TS bookkeeping it skips, and retire.  The
-        L1D plain-hit arms replicate ``CacheLevel.access``'s; their
-        guard, ``fill_time <= issue_time + latency``, is conservative
+        L1D plain-hit arms replicate the hierarchy walk's entry plain-hit
+        arm (``flatwalk.make_flat_descent``); their guard,
+        ``fill_time <= issue_time + latency``, is conservative
         (any load it accepts would be a plain hit under any port
-        schedule), so the full access only runs for misses and in-flight
+        schedule), so the full walk only runs for misses and in-flight
         fills.
         """
         plan = plan_for(trace)
@@ -427,9 +428,9 @@ class System:
             gm_sets = gm.sets
             gm_mask = gm._set_mask
             gm_pending = gm._pending
-        # L1D plain-hit fast-path collaborators (see CacheLevel.access;
-        # the inline below replicates its plain-hit arm exactly and only
-        # fires when the guard proves that arm would be taken).
+        # L1D plain-hit fast-path collaborators (see flatwalk; the
+        # inline below replicates the walk's entry plain-hit arm exactly
+        # and only fires when the guard proves that arm would be taken).
         l1_sets = l1d.sets
         l1_mask = l1d._set_mask
         l1_latency = l1d._latency
@@ -695,7 +696,7 @@ class System:
                         line = l1_sets[block & l1_mask].get(block)
                         if line is not None and line.fill_time \
                                 <= issue_time + l1_latency:
-                            # CacheLevel.access plain-hit arm, inlined.
+                            # The walk's entry plain-hit arm, inlined.
                             l1_accesses[REQ_LOAD] += 1
                             pc = l1_port_counts.get(issue_time, 0)
                             if pc < l1_port_n:
@@ -1021,10 +1022,8 @@ class System:
     def _make_drainer(self):
         queue = self._commit_q
         hierarchy = self.hierarchy
-        # hierarchy.demand_store is a one-line wrapper around the L1D
-        # access (the returned completion is unused here); calling the
-        # access directly drops a frame per committed store.  The hoist
-        # picks up the flattened descent when the hierarchy installed one.
+        # A committed store walks the hierarchy from the L1D; its
+        # completion is unused.
         store_access = hierarchy._l1d_access
         hit_levels = self.hit_levels
         has_hl = hit_levels is not None
@@ -1208,7 +1207,7 @@ class System:
         ``MemoryHierarchy.issue_prefetch``, pays two more call frames to
         discover (``CacheLevel.issue_prefetch`` -> ``_drop_prefetch``).
         The closure replicates that decision chain flat, charging the
-        same counters in the same order, and only calls into ``access``
+        same counters in the same order, and only calls into a walk
         when a prefetch actually enters the memory system.  With event
         tracing attached it loops over the reference instead, so
         emission sites stay in one place.  The closure is stored on the
@@ -1239,6 +1238,7 @@ class System:
         l2_access = hierarchy._l2_access
         # The L2's view of the LLC: under rand-llc the scrambling front.
         llc_issue = hierarchy.llc_front.issue_prefetch
+        llc_access = hierarchy._llc_access
         mshr_limit = hierarchy._l1d_mshrs
         classifier = self.classifier
         on_real = classifier.on_real_prefetch \
@@ -1317,7 +1317,7 @@ class System:
                         insort(l2_pq, completion)
                         stale = True
                 else:
-                    llc_issue(pf_block, time)
+                    llc_issue(pf_block, time, llc_access)
                     stale = True
         return issue
 

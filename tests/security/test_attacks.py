@@ -101,6 +101,6 @@ class TestProbePrimitives:
         """SUF only filters *redundant committed* updates; the covert
         channel stays closed with SUF enabled."""
         result = run_prefetch_covert_channel(
-            SECRET, secure=True, train_mode=MODE_ON_COMMIT,
+            SECRET, secure=True, suf=True, train_mode=MODE_ON_COMMIT,
             prefetcher=make_prefetcher("ip-stride"))
         assert not result.leaked

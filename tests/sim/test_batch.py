@@ -35,13 +35,13 @@ try:
     from .test_golden_stats import (CONFIGS, GOLDEN_LOADS, GOLDEN_PATH,
                                     GOLDEN_WARMUP, GOLDEN_WORKLOAD)
     from .test_golden_stats import _generate as _regen_stats_golden
-    from .test_golden_stats import _run_snapshot
+    from .test_golden_stats import _run
 except ImportError:  # direct script run: tests/sim is sys.path[0]
     from goldenlib import load_golden
     from test_golden_stats import (CONFIGS, GOLDEN_LOADS, GOLDEN_PATH,
                                    GOLDEN_WARMUP, GOLDEN_WORKLOAD)
     from test_golden_stats import _generate as _regen_stats_golden
-    from test_golden_stats import _run_snapshot
+    from test_golden_stats import _run
 
 
 def _golden(name):
@@ -169,7 +169,7 @@ class TestBackendEquivalence:
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_batch_stepper_matches_golden(name):
-    _assert_matches_golden(name, _run_snapshot(name))
+    _assert_matches_golden(name, _run(name)[0])
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -178,7 +178,7 @@ def test_stdlib_prescan_matches_golden(name, monkeypatch):
     # exact, not merely close.  spec_trace builds a fresh trace, so no
     # NumPy-built plan is cached on it.
     monkeypatch.setattr(batch_mod, "HAVE_NUMPY", False)
-    _assert_matches_golden(name, _run_snapshot(name))
+    _assert_matches_golden(name, _run(name)[0])
 
 
 def test_empty_trace_runs():

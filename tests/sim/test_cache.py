@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 from repro.sim.cache import (CacheLevel, LEVEL_DRAM, LEVEL_L1D,
                              MemoryBackend, _PortBucket)
 from repro.sim.dram import DRAMChannel
+from repro.sim.flatwalk import make_flat_descent
 from repro.sim.params import CacheParams, DRAMParams
-from repro.sim.stats import REQ_COMMIT, REQ_LOAD, REQ_PREFETCH, REQ_STORE
+from repro.sim.stats import REQ_COMMIT, REQ_LOAD, REQ_STORE
 
 
 def small_cache(ways=2, sets_kb=None, mshrs=4, ports=2, pq=4,
@@ -20,45 +21,58 @@ def small_cache(ways=2, sets_kb=None, mshrs=4, ports=2, pq=4,
     return CacheLevel(params, LEVEL_L1D, next_level)
 
 
+def walk(level):
+    """The hierarchy walk rooted at ``level``, down its ``next`` chain."""
+    levels = [level]
+    while isinstance(levels[-1].next, CacheLevel):
+        levels.append(levels[-1].next)
+    return make_flat_descent(tuple(levels), levels[-1].next.dram)
+
+
 class TestHitMiss:
     def test_cold_miss_then_hit(self):
         cache = small_cache()
-        done, served = cache.access(5, 0, REQ_LOAD)
+        access = walk(cache)
+        done, served = access(5, 0, REQ_LOAD)
         assert served == LEVEL_DRAM
         assert cache.stats.misses[REQ_LOAD] == 1
-        done2, served2 = cache.access(5, done + 10, REQ_LOAD)
+        done2, served2 = access(5, done + 10, REQ_LOAD)
         assert served2 == LEVEL_L1D
         assert done2 == done + 10 + cache.params.latency
         assert cache.stats.hits[REQ_LOAD] == 1
 
     def test_hit_latency(self):
         cache = small_cache(latency=7)
+        access = walk(cache)
         cache.insert(3, 0)
-        done, _ = cache.access(3, 100, REQ_LOAD)
+        done, _ = access(3, 100, REQ_LOAD)
         assert done == 107
 
     def test_in_flight_fill_merges(self):
         cache = small_cache()
-        done, _ = cache.access(5, 0, REQ_LOAD)
+        access = walk(cache)
+        done, _ = access(5, 0, REQ_LOAD)
         # A second request before the fill arrives merges with it.
-        done2, _ = cache.access(5, 1, REQ_LOAD)
+        done2, _ = access(5, 1, REQ_LOAD)
         assert done2 == done
         assert cache.stats.mshr_merges == 1
         assert cache.stats.misses[REQ_LOAD] == 2
 
     def test_store_sets_dirty(self):
         cache = small_cache()
+        access = walk(cache)
         cache.insert(5, 0)
-        cache.access(5, 10, REQ_STORE)
+        access(5, 10, REQ_STORE)
         assert cache.lookup(5).dirty
 
 
 class TestLRU:
     def test_evicts_least_recent(self):
         cache = small_cache(ways=2)
+        access = walk(cache)
         cache.insert(0, time=1)    # set 0
         cache.insert(8, time=2)    # set 0 (8 % 8 == 0)
-        cache.access(0, 10, REQ_LOAD)   # touch 0
+        access(0, 10, REQ_LOAD)    # touch 0
         cache.insert(16, time=20)  # evicts 8 (LRU), not 0
         assert cache.contains(0)
         assert not cache.contains(8)
@@ -75,9 +89,10 @@ class TestLRU:
 
     def test_no_update_access_keeps_lru(self):
         cache = small_cache(ways=2)
+        access = walk(cache)
         cache.insert(0, time=1)
         cache.insert(8, time=2)
-        cache.access(0, 10, REQ_LOAD, update=False)
+        access(0, 10, REQ_LOAD, update=False)
         cache.insert(16, time=20)
         assert not cache.contains(0)
 
@@ -85,27 +100,30 @@ class TestLRU:
 class TestInvisibleWalk:
     def test_fill_false_leaves_no_line(self):
         cache = small_cache()
-        cache.access(5, 0, REQ_LOAD, update=False, fill=False)
+        access = walk(cache)
+        access(5, 0, REQ_LOAD, update=False, fill=False)
         assert not cache.contains(5)
 
     def test_fill_false_propagates_downstream(self):
         l2 = small_cache()
         l1 = small_cache(next_level=l2)
-        l1.access(5, 0, REQ_LOAD, update=False, fill=False)
+        walk(l1)(5, 0, REQ_LOAD, update=False, fill=False)
         assert not l1.contains(5)
         assert not l2.contains(5)
 
     def test_fill_false_still_uses_mshr(self):
         cache = small_cache(mshrs=1)
-        cache.access(5, 0, REQ_LOAD, update=False, fill=False)
+        access = walk(cache)
+        access(5, 0, REQ_LOAD, update=False, fill=False)
         assert cache.mshr_occupancy(1) == 1
 
     def test_stale_outstanding_expires(self):
         cache = small_cache()
-        done, _ = cache.access(5, 0, REQ_LOAD, fill=False)
+        access = walk(cache)
+        done, _ = access(5, 0, REQ_LOAD, fill=False)
         # Long after the fill, the block is no longer in flight here:
         # a new request is a fresh miss, not a merge.
-        cache.access(5, done + 1000, REQ_LOAD)
+        access(5, done + 1000, REQ_LOAD)
         assert cache.stats.mshr_merges == 0
         assert cache.stats.misses[REQ_LOAD] == 2
 
@@ -113,23 +131,26 @@ class TestInvisibleWalk:
 class TestMSHR:
     def test_full_mshrs_delay_miss(self):
         cache = small_cache(mshrs=2)
-        d1, _ = cache.access(0, 0, REQ_LOAD)
-        cache.access(8, 0, REQ_LOAD)
-        d3, _ = cache.access(16, 0, REQ_LOAD)
+        access = walk(cache)
+        d1, _ = access(0, 0, REQ_LOAD)
+        access(8, 0, REQ_LOAD)
+        d3, _ = access(16, 0, REQ_LOAD)
         assert cache.stats.mshr_full_events == 1
         assert cache.stats.mshr_full_wait_cycles > 0
         assert d3 > d1
 
     def test_occupancy_sampling(self):
         cache = small_cache(mshrs=4)
-        cache.access(0, 0, REQ_LOAD)
-        cache.access(8, 0, REQ_LOAD)
+        access = walk(cache)
+        access(0, 0, REQ_LOAD)
+        access(8, 0, REQ_LOAD)
         assert cache.stats.mshr_occupancy_samples == 2
         assert cache.stats.mshr_occupancy_sum == 1  # 0 then 1 busy
 
     def test_load_miss_latency_recorded(self):
         cache = small_cache()
-        done, _ = cache.access(0, 0, REQ_LOAD)
+        access = walk(cache)
+        done, _ = access(0, 0, REQ_LOAD)
         assert cache.stats.load_miss_latency_count == 1
         assert cache.stats.load_miss_latency_sum == done
 
@@ -201,54 +222,62 @@ class TestCommitWrite:
 class TestPrefetchQueue:
     def test_issue_and_fill(self):
         cache = small_cache()
-        assert cache.issue_prefetch(5, 0)
+        access = walk(cache)
+        assert cache.issue_prefetch(5, 0, access)
         assert cache.stats.prefetches_issued == 1
         assert cache.stats.prefetch_fills == 1
         assert cache.lookup(5).prefetched
 
     def test_duplicate_dropped(self):
         cache = small_cache()
+        access = walk(cache)
         cache.insert(5, 0)
-        assert not cache.issue_prefetch(5, 1)
+        assert not cache.issue_prefetch(5, 1, access)
         assert cache.stats.prefetches_dropped == 1
 
     def test_in_flight_duplicate_dropped(self):
         cache = small_cache()
-        cache.access(5, 0, REQ_LOAD, fill=False)
-        assert not cache.issue_prefetch(5, 1)
+        access = walk(cache)
+        access(5, 0, REQ_LOAD, fill=False)
+        assert not cache.issue_prefetch(5, 1, access)
 
     def test_pq_full_drops(self):
         cache = small_cache(pq=2, mshrs=8)
-        assert cache.issue_prefetch(0, 0)
-        assert cache.issue_prefetch(8, 0)
-        assert not cache.issue_prefetch(16, 0)
+        access = walk(cache)
+        assert cache.issue_prefetch(0, 0, access)
+        assert cache.issue_prefetch(8, 0, access)
+        assert not cache.issue_prefetch(16, 0, access)
         assert cache.stats.prefetches_dropped == 1
 
     def test_mshr_full_drops_prefetch(self):
         cache = small_cache(mshrs=2, pq=8)
-        cache.access(0, 0, REQ_LOAD)
-        cache.access(8, 0, REQ_LOAD)
-        assert not cache.issue_prefetch(16, 0)
+        access = walk(cache)
+        access(0, 0, REQ_LOAD)
+        access(8, 0, REQ_LOAD)
+        assert not cache.issue_prefetch(16, 0, access)
 
     def test_usefulness_tracking(self):
         cache = small_cache()
-        cache.issue_prefetch(5, 0)
-        done, _ = cache.access(5, 500, REQ_LOAD)
+        access = walk(cache)
+        cache.issue_prefetch(5, 0, access)
+        done, _ = access(5, 500, REQ_LOAD)
         assert cache.stats.prefetches_useful == 1
         # A second demand hit does not double-count.
-        cache.access(5, 600, REQ_LOAD)
+        access(5, 600, REQ_LOAD)
         assert cache.stats.prefetches_useful == 1
 
     def test_useless_counted_on_eviction(self):
         cache = small_cache(ways=1)
-        cache.issue_prefetch(0, 0)
+        access = walk(cache)
+        cache.issue_prefetch(0, 0, access)
         cache.insert(16, 5000)  # evict the never-used prefetch
         assert cache.stats.prefetches_useless == 1
 
     def test_late_prefetch_merge_detected(self):
         cache = small_cache()
-        cache.issue_prefetch(5, 0)
-        cache.access(5, 1, REQ_LOAD)  # merges with the in-flight prefetch
+        access = walk(cache)
+        cache.issue_prefetch(5, 0, access)
+        access(5, 1, REQ_LOAD)  # merges with the in-flight prefetch
         assert cache.stats.demand_merged_into_prefetch == 1
         assert cache.stats.prefetches_useful == 1
 
@@ -289,10 +318,11 @@ class TestSignature:
 def test_set_capacity_invariant(blocks):
     """No set ever exceeds its associativity, whatever the access mix."""
     cache = small_cache(ways=2)
+    access = walk(cache)
     t = 0
     for block in blocks:
         t += 10
-        cache.access(block, t, REQ_LOAD)
+        access(block, t, REQ_LOAD)
     assert all(len(s) <= 2 for s in cache.sets)
 
 
@@ -302,10 +332,11 @@ def test_set_capacity_invariant(blocks):
 def test_accesses_equal_hits_plus_misses(blocks):
     """With full accesses (no probes), counts reconcile."""
     cache = small_cache(ways=4)
+    access = walk(cache)
     t = 0
     for block in blocks:
         t += 1000  # far apart: no merges
-        cache.access(block, t, REQ_LOAD)
+        access(block, t, REQ_LOAD)
     stats = cache.stats
     assert stats.accesses[REQ_LOAD] == \
         stats.hits[REQ_LOAD] + stats.misses[REQ_LOAD]

@@ -24,6 +24,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs import ObsConfig
+
 try:
     from .goldenlib import (assert_provenance, build_system, load_golden,
                             write_golden)
@@ -56,12 +58,39 @@ CONFIGS = {
     "randllc_spp_oa": {"prefetcher": "spp", "llc_scramble": 0x5DEECE66D},
 }
 
+#: Every config runs once more with events attached: tracing must leave
+#: every counter equal to the golden.
+TRACED_OBS = ObsConfig(trace_events=True, trace_capacity=1 << 16)
 
-def _run_snapshot(name):
+#: ``counts_by_kind()`` of each traced config.  Recorded when traced runs
+#: still took a separate recursive walk, so equal counts show that the
+#: one walk emits the same events.
+GOLDEN_EVENT_COUNTS = {
+    "baseline": {"evict": 2293, "fill": 6371},
+    "berti_on_access": {"evict": 2352, "fill": 6352, "pf_drop": 4241,
+                        "pf_fill": 716, "pf_issue": 365, "pf_use": 24},
+    "delay_berti_oa": {"evict": 2701, "fill": 2890, "pf_drop": 7648,
+                       "pf_fill": 4215, "pf_issue": 2197, "pf_use": 1682},
+    "randllc_spp_oa": {"evict": 2292, "fill": 5951, "pf_drop": 10110,
+                       "pf_fill": 684, "pf_issue": 396, "pf_use": 226},
+    "secure_berti_oa_classify": {
+        "evict": 2244, "fill": 4461, "gm_commit_write": 2652,
+        "gm_drop": 223, "gm_fill": 2946, "gm_refetch": 3348,
+        "pf_drop": 3893, "pf_fill": 704, "pf_issue": 353, "pf_use": 15},
+    "secure_tsb_suf_oc": {
+        "evict": 2322, "fill": 4572, "gm_commit_write": 2796,
+        "gm_drop": 260, "gm_fill": 3132, "gm_refetch": 293,
+        "pf_drop": 933, "pf_fill": 355, "pf_issue": 174,
+        "suf_drop": 2911, "suf_stop": 1181},
+}
+
+
+def _run(name, obs=None):
+    """One pinned replay: its stats snapshot and its event trace."""
     from repro.workloads.spec import spec_trace
 
     trace = spec_trace(GOLDEN_WORKLOAD, GOLDEN_LOADS)
-    system = build_system(CONFIGS[name])
+    system = build_system(dict(CONFIGS[name], obs=obs))
     result = system.run(trace, warmup=GOLDEN_WARMUP)
     return {
         "committed": result.committed,
@@ -76,7 +105,7 @@ def _run_snapshot(name):
         "tlb": result.tlb.snapshot() if result.tlb is not None else None,
         "classification": result.classification,
         "extras": result.extras,
-    }
+    }, system.events
 
 
 def _load_golden():
@@ -95,10 +124,14 @@ def test_golden_carries_provenance():
     assert_provenance(_load_golden())
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_stats_bit_identical_to_golden(name):
+@pytest.mark.parametrize("name, obs", [
+    *(pytest.param(name, None, id=name) for name in sorted(CONFIGS)),
+    *(pytest.param(name, TRACED_OBS, id=f"{name}-traced")
+      for name in sorted(CONFIGS)),
+])
+def test_stats_bit_identical_to_golden(name, obs):
     golden = _load_golden()["configs"][name]
-    current = _run_snapshot(name)
+    current, events = _run(name, obs)
     # Compare section by section so a drift names the counter, not just
     # "dicts differ".
     for section in sorted(golden):
@@ -106,6 +139,8 @@ def test_stats_bit_identical_to_golden(name):
             f"{name}.{section} drifted from the pre-optimization golden "
             f"snapshot -- optimized code must be bit-identical")
     assert sorted(current) == sorted(golden)
+    if obs is not None:
+        assert events.counts_by_kind() == GOLDEN_EVENT_COUNTS[name]
 
 
 def _generate():
@@ -113,7 +148,7 @@ def _generate():
         "workload": GOLDEN_WORKLOAD,
         "loads": GOLDEN_LOADS,
         "warmup": GOLDEN_WARMUP,
-        "configs": {name: _run_snapshot(name) for name in sorted(CONFIGS)},
+        "configs": {name: _run(name)[0] for name in sorted(CONFIGS)},
     }
     write_golden(GOLDEN_PATH, doc, "tests/sim/test_golden_stats.py")
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.sim.cache import CacheLevel, LEVEL_L1D, MemoryBackend
 from repro.sim.dram import DRAMChannel
+from repro.sim.flatwalk import make_flat_descent
 from repro.sim.params import CacheParams, DRAMParams
 from repro.sim.stats import REQ_LOAD
 
@@ -13,6 +14,11 @@ def make_cache(policy, ways=4):
                          mshrs=4, replacement=policy)
     return CacheLevel(params, LEVEL_L1D,
                       MemoryBackend(DRAMChannel(DRAMParams())))
+
+
+def walk(cache):
+    """The walk rooted at ``cache`` (its ``next`` is the DRAM sink)."""
+    return make_flat_descent((cache,), cache.next.dram)
 
 
 def same_set_blocks(cache, count):
@@ -37,7 +43,7 @@ class TestLRU:
         blocks = same_set_blocks(cache, 5)
         for t, block in enumerate(blocks[:4]):
             cache.insert(block, t + 1)
-        cache.access(blocks[0], 100, REQ_LOAD)     # refresh the oldest
+        walk(cache)(blocks[0], 100, REQ_LOAD)      # refresh the oldest
         cache.insert(blocks[4], 200)               # evicts blocks[1]
         assert cache.contains(blocks[0])
         assert not cache.contains(blocks[1])
@@ -50,16 +56,17 @@ class TestSRRIP:
         for t, block in enumerate(blocks[:4]):
             cache.insert(block, t + 1)
         # Re-reference block 0 twice: rrpv -> 0.
-        cache.access(blocks[0], 50, REQ_LOAD)
+        walk(cache)(blocks[0], 50, REQ_LOAD)
         cache.insert(blocks[4], 100)
         assert cache.contains(blocks[0])
 
     def test_aging_finds_victim(self):
         cache = make_cache("srrip")
         blocks = same_set_blocks(cache, 5)
+        access = walk(cache)
         for t, block in enumerate(blocks[:4]):
             cache.insert(block, t + 1)
-            cache.access(block, 10 + t, REQ_LOAD)   # all rrpv=0
+            access(block, 10 + t, REQ_LOAD)         # all rrpv=0
         cache.insert(blocks[4], 100)                # must still evict one
         assert sum(cache.contains(b) for b in blocks) == 4
 

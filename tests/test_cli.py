@@ -192,7 +192,7 @@ class TestArgumentValidation:
         with pytest.raises(SystemExit, match="--jobs must be a positive"):
             main(["figure", "fig1", "--jobs", "0", "--no-store"])
 
-    @pytest.mark.parametrize("command", ["run", "trace"])
+    @pytest.mark.parametrize("command", ["run", "trace", "attack"])
     @pytest.mark.parametrize("flags, message", [
         (["--prefetcher", "nosuch"], "unknown prefetcher 'nosuch'"),
         (["--prefetcher", "ts-nosuch"], "unknown prefetcher 'nosuch'"),
@@ -200,8 +200,29 @@ class TestArgumentValidation:
     ])
     def test_invalid_config_exits_with_message(self, command, flags,
                                                message):
+        workload = [] if command == "attack" \
+            else ["657.xz-2302B", "--loads", "200"]
         with pytest.raises(SystemExit, match=message):
-            main([command, "657.xz-2302B", "--loads", "200", *flags])
+            main([command, *workload, *flags])
+
+    @pytest.mark.parametrize("flags, attr, value", [
+        (["--prefetcher", "none"], "prefetcher", None),
+        (["--secure", "--suf"], "suf", True),
+    ])
+    def test_attack_flags_reach_the_system(self, monkeypatch, flags, attr,
+                                           value):
+        """``--prefetcher none`` mounts no prefetcher; ``--suf`` turns
+        SUF on."""
+        from repro.security import attacks
+        real, built = attacks.System, []
+
+        def spy(*args, **kwargs):
+            built.append(real(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(attacks, "System", spy)
+        assert main(["attack", *flags]) == 0
+        assert [getattr(system, attr) for system in built] == [value]
 
     @pytest.mark.parametrize("argv, flag", [
         (["run", "657.xz-2302B", "--loads", "200"], "--timeseries"),
