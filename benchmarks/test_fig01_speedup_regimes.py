@@ -5,12 +5,11 @@ is the upper bound; moving to the secure cache system costs a few percent;
 moving to on-commit costs a further ~3-4%.
 """
 
-from repro.experiments import fig1
 from repro.prefetchers import PAPER_PREFETCHERS
 
 
-def test_fig1(benchmark, runner, record):
-    result = benchmark.pedantic(fig1, args=(runner,), rounds=1,
+def test_fig1(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("fig1",), rounds=1,
                                 iterations=1)
     record("fig1", result.text)
 

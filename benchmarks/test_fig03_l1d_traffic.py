@@ -5,11 +5,9 @@ traffic (199 -> 375 APKI without prefetching in the paper); with L1D
 prefetchers a prefetch component appears on top.
 """
 
-from repro.experiments import fig3
 
-
-def test_fig3(benchmark, runner, record):
-    result = benchmark.pedantic(fig3, args=(runner,), rounds=1,
+def test_fig3(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("fig3",), rounds=1,
                                 iterations=1)
     record("fig3", result.text)
 

@@ -4,12 +4,11 @@ Paper shape: the secure system raises miss latency for every prefetcher
 (additional commit traffic contends for ports/MSHRs/DRAM).
 """
 
-from repro.experiments import fig4
 from repro.prefetchers import PAPER_PREFETCHERS
 
 
-def test_fig4(benchmark, runner, record):
-    result = benchmark.pedantic(fig4, args=(runner,), rounds=1,
+def test_fig4(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("fig4",), rounds=1,
                                 iterations=1)
     record("fig4", result.text)
 

@@ -5,11 +5,9 @@ visibly inflates L1D accesses, and prefetchers behave very differently on
 the secure vs non-secure system.
 """
 
-from repro.experiments import fig5
 
-
-def test_fig5(benchmark, runner, record):
-    result = benchmark.pedantic(fig5, args=(runner,), rounds=1,
+def test_fig5(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("fig5",), rounds=1,
                                 iterations=1)
     record("fig5", result.text)
 

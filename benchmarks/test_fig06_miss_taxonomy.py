@@ -7,12 +7,11 @@ do not grow when moving to on-commit.
 """
 
 from repro.core.classification import CAT_COMMIT_LATE, CATEGORIES
-from repro.experiments import fig6
 from repro.prefetchers import PAPER_PREFETCHERS
 
 
-def test_fig6(benchmark, runner, record):
-    result = benchmark.pedantic(fig6, args=(runner,), rounds=1,
+def test_fig6(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("fig6",), rounds=1,
                                 iterations=1)
     record("fig6", result.text)
 

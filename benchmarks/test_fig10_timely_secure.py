@@ -4,12 +4,11 @@ Paper shape: every TS variant outperforms (or at worst matches) its naive
 on-commit version; TSB is the best secure prefetcher.
 """
 
-from repro.experiments import fig10
 from repro.prefetchers import PAPER_PREFETCHERS
 
 
-def test_fig10(benchmark, runner, record):
-    result = benchmark.pedantic(fig10, args=(runner,), rounds=1,
+def test_fig10(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("fig10",), rounds=1,
                                 iterations=1)
     record("fig10", result.text)
 

@@ -5,12 +5,11 @@ prefetcher; TSB+SUF is the best overall secure configuration and
 approaches the on-access non-secure bound.
 """
 
-from repro.experiments import fig11
 from repro.prefetchers import PAPER_PREFETCHERS
 
 
-def test_fig11(benchmark, runner, record):
-    result = benchmark.pedantic(fig11, args=(runner,), rounds=1,
+def test_fig11(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("fig11",), rounds=1,
                                 iterations=1)
     record("fig11", result.text)
 

@@ -5,11 +5,10 @@ in most traces, with the largest gains on timeliness-sensitive workloads.
 """
 
 from repro.analysis import geomean
-from repro.experiments import fig12
 
 
-def test_fig12(benchmark, runner, record):
-    result = benchmark.pedantic(fig12, args=(runner,), rounds=1,
+def test_fig12(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("fig12",), rounds=1,
                                 iterations=1)
     record("fig12", result.text)
 

@@ -6,11 +6,9 @@ it; Berti/TSB sit at the top of the accuracy range (~90%).
 
 import math
 
-from repro.experiments import fig13
 
-
-def test_fig13(benchmark, runner, record):
-    result = benchmark.pedantic(fig13, args=(runner,), rounds=1,
+def test_fig13(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("fig13",), rounds=1,
                                 iterations=1)
     record("fig13", result.text)
 

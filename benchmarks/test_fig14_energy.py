@@ -5,12 +5,11 @@ configuration (GM + commit traffic); SUF claws back a large share of the
 increase.
 """
 
-from repro.experiments import fig14
 from repro.prefetchers import PAPER_PREFETCHERS
 
 
-def test_fig14(benchmark, runner, record):
-    result = benchmark.pedantic(fig14, args=(runner,), rounds=1,
+def test_fig14(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("fig14",), rounds=1,
                                 iterations=1)
     record("fig14", result.text)
 

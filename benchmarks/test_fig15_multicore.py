@@ -5,11 +5,9 @@ single-core (16.8% in the paper); SUF improves every mix; TSB+SUF is the
 best secure configuration.
 """
 
-from repro.experiments import fig15
 
-
-def test_fig15(benchmark, runner, record):
-    result = benchmark.pedantic(fig15, args=(runner,), rounds=1,
+def test_fig15(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("fig15",), rounds=1,
                                 iterations=1)
     record("fig15", result.text)
 

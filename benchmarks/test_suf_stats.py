@@ -4,11 +4,9 @@ Paper shape: SUF filters accurately ~99.3% of the time on average
 (worst trace 87.3%), and cuts the L1D traffic the secure system added.
 """
 
-from repro.experiments import suf_statistics
 
-
-def test_suf_statistics(benchmark, runner, record):
-    result = benchmark.pedantic(suf_statistics, args=(runner,), rounds=1,
+def test_suf_statistics(benchmark, figure, record):
+    result = benchmark.pedantic(figure, args=("suf_statistics",), rounds=1,
                                 iterations=1)
     record("suf_statistics", result.text)
 

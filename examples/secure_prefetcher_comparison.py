@@ -12,8 +12,7 @@ It reproduces, at example scale, the ordering of Figs. 1, 10, and 11.
 """
 
 from repro.analysis import amean, geomean, prefetch_accuracy, speedup
-from repro.experiments import (BASELINE, ExperimentRunner, SCALES,
-                               nonsecure, on_commit_secure, ts_config)
+from repro.experiments import BASELINE, Config, ExperimentRunner, SCALES
 from repro.prefetchers import PAPER_PREFETCHERS
 
 
@@ -34,17 +33,19 @@ def main() -> None:
             for t in traces)
 
     for name in PAPER_PREFETCHERS:
-        ts = ts_config(name, suf=True)
+        on_access = Config.from_spec("nonsecure", name)
+        on_commit = Config.from_spec("on-commit-secure", name)
+        ts = Config.from_spec("timely-secure", name, suf=True)
         resolved = [prefetch_accuracy(runner.run(ts, t)) for t in traces]
         resolved = [a for a in resolved if a > 0]
         ts_acc = 100 * amean(resolved) if resolved else 0.0
         print(f"{name:12s}"
-              f"{mean_speedup(nonsecure(name)):14.3f}"
-              f"{mean_speedup(on_commit_secure(name)):13.3f}"
+              f"{mean_speedup(on_access):14.3f}"
+              f"{mean_speedup(on_commit):13.3f}"
               f"{mean_speedup(ts):10.3f}"
               f"{ts_acc:12.1f}%")
 
-    secure_base = mean_speedup(on_commit_secure("none"))
+    secure_base = mean_speedup(Config.from_spec("on-commit-secure"))
     print(f"\n(no-prefetch GhostMinion reference: {secure_base:.3f})")
 
 

@@ -71,7 +71,8 @@ def format_profile(report: Mapping[str, Sequence[float]],
     """Render a :meth:`repro.obs.PhaseProfiler.report` as a table.
 
     One line per phase: total seconds, times entered, and mean seconds
-    per entry -- the ``repro sweep``/``figure`` post-run accounting.
+    per entry -- the table form of the ``[profile: ...]`` line that
+    ``repro campaign`` prints after its figures.
     """
     lines = [title, "=" * len(title)]
     width = max([len(name) for name in report] + [len("phase")])

@@ -8,7 +8,7 @@ Every committed paper figure is one such spec; ``repro campaign`` is
 the CLI front door.
 """
 
-from .engine import run_campaign
+from .engine import FigureResult, run_campaign
 from .metrics import METRICS, Metric
 from .plan import CampaignPlan, PlanEntry, compile_plan
 from .spec import (CampaignSpec, SpecError, campaigns_dir,
@@ -16,8 +16,8 @@ from .spec import (CampaignSpec, SpecError, campaigns_dir,
                    parse_spec, pool_trace_names)
 
 __all__ = [
-    "CampaignPlan", "CampaignSpec", "METRICS", "Metric", "PlanEntry",
-    "SpecError", "campaigns_dir", "compile_plan", "expand_outputs",
-    "find_campaign_spec", "load_spec", "parse_spec",
+    "CampaignPlan", "CampaignSpec", "FigureResult", "METRICS", "Metric",
+    "PlanEntry", "SpecError", "campaigns_dir", "compile_plan",
+    "expand_outputs", "find_campaign_spec", "load_spec", "parse_spec",
     "pool_trace_names", "run_campaign",
 ]

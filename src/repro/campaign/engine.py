@@ -1,12 +1,10 @@
 """Campaign execution: evaluate a compiled spec against a runner.
 
-``run_campaign`` is the declarative twin of the imperative figure
-drivers: it expands the spec with the runner's real workload pool,
-pre-executes every required simulation as *one* batch through the
-execution layer (sharded across workers with ``jobs>1``, deduplicated
-and resumable through the result store), then evaluates the spec's
-outputs into a :class:`~repro.experiments.figures.FigureResult` whose
-rendered text is bit-identical to the legacy driver's.
+``run_campaign`` is the only way a figure is rendered: it expands the
+spec with the runner's real workload pool, pre-executes every required
+simulation as *one* batch through the execution layer (sharded across
+workers with ``jobs>1``, deduplicated and resumable through the result
+store), then evaluates the spec's outputs into a :class:`FigureResult`.
 
 Fail-soft semantics ride the runner's: a permanently failed simulation
 memoizes a NaN-sentinel result, the metric layer propagates NaN, and
@@ -16,19 +14,33 @@ the campaign.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.metrics import amean, geomean
 from ..analysis.report import (format_series, format_stacked,
                                format_table)
-from ..experiments.figures import FigureResult
 from ..experiments.runner import BASELINE, Config, ExperimentRunner
 from .metrics import METRICS
 from .spec import (Cell, CampaignSpec, ExpandedOutput, MulticoreOut,
                    SecurityMatrixOut, SeriesOut, StackedOut, TableOut,
                    expand_outputs)
 
-__all__ = ["run_campaign"]
+__all__ = ["FigureResult", "run_campaign"]
+
+
+@dataclass
+class FigureResult:
+    """Data + rendered text for one reproduced figure."""
+
+    name: str
+    description: str
+    columns: List[str]
+    rows: Dict[str, List[float]] = field(default_factory=dict)
+    text: str = ""
+
+    def __str__(self) -> str:  # pragma: no cover - convenience
+        return self.text
 
 
 def _single_core_cells(outputs: Sequence[ExpandedOutput]
@@ -101,7 +113,7 @@ def _eval_table(runner: ExperimentRunner,
         if kind == "average":
             # The mean of every data row so far, column-wise (the
             # suf_statistics "average" row); rows below it are not
-            # included, matching the imperative drivers.
+            # included.
             rows[rest[0]] = [amean(v[i] for v in rows.values())
                              for i in range(len(output.columns))]
             continue
@@ -161,12 +173,17 @@ def _eval_multicore(runner: ExperimentRunner,
     if output.n_mixes is not None:
         mixes = mixes[:output.n_mixes]
 
+    # Alone-IPC runs are plain single-core baseline jobs, so they ride
+    # the runner's pool and store like every other cell.
     distinct = list({t.name: t for mix in mixes for t in mix}.values())
     runner.run_pool(BASELINE, distinct)
 
     def alone(mix: Sequence) -> List[float]:
         return [runner.run(BASELINE, t).ipc for t in mix]
 
+    # Normalization baseline: non-secure, no prefetching, same mix.  In
+    # failsoft mode a permanently failed mix comes back None (recorded
+    # in runner.failures) and drops out of the figure.
     base_results = runner.run_mixes(BASELINE, mixes, cores=cores)
     base_ws = [result.weighted_speedup(alone(mix))
                if result is not None else None
@@ -233,11 +250,10 @@ def run_campaign(spec: CampaignSpec,
     """Execute ``spec`` against ``runner`` and render its outputs.
 
     Returns one :class:`FigureResult` named after the campaign; the
-    text joins every output block with blank lines (matching the
-    legacy multi-panel drivers, e.g. Fig. 5).  The first output
-    supplies ``columns``/``rows``; series outputs additionally attach
-    ``.series`` and multicore outputs ``.sorted_norms``, mirroring the
-    imperative drivers' extra attributes.
+    text joins every output block with blank lines (Fig. 5's panels,
+    for instance).  The first output supplies ``columns``/``rows``;
+    series outputs additionally attach ``.series``, multicore outputs
+    ``.sorted_norms`` and security-matrix outputs ``.matrix``.
     """
     pool_names = [trace.name for trace in runner.pool()]
     outputs = expand_outputs(spec, pool_names)

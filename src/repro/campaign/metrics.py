@@ -1,9 +1,9 @@
 """Named derived-output metrics the campaign engine can evaluate.
 
 Each metric is a reducer from (runner, configuration[, trace]) to the
-value one figure cell plots.  They reproduce the legacy figure drivers'
-arithmetic *exactly* (same helpers, same operation order), which is what
-makes spec-driven figures bit-identical to the imperative ones.
+value one figure cell plots, built from the ``analysis.metrics``
+helpers.  The figures pinned in ``campaigns/golden/figures_golden.json``
+depend on their arithmetic, operation order included.
 
 Scopes and kinds
 ----------------

@@ -13,15 +13,12 @@ Commands
     events as JSONL (``repro.obs.validate`` checks such files in CI).
 ``compare``
     Run the paper's standard configurations side by side on one workload.
-``figure``
-    Regenerate one of the paper's figures (fig1, fig3, ..., fig15).
-``sweep``
-    Run a whole set of figures through the fault-tolerant execution
-    layer, with a persistent result store for resume support.
 ``campaign``
-    Run one declarative campaign spec (``campaigns/<name>.json`` or any
-    spec file) through the same execution layer; ``--dry-run`` prints
-    the expanded job plan, ``--resume`` continues from the store.
+    Render paper figures: run one or more declarative campaign specs
+    (``campaigns/<name>.json`` or any spec file) through the
+    fault-tolerant execution layer on one runner; ``--dry-run`` prints
+    the expanded job plans, ``--resume`` continues from the result
+    store, ``--expect-cached`` checks that nothing re-simulated.
 ``tables``
     Print Tables I-III and the contribution storage budget.
 ``figcheck``
@@ -47,9 +44,9 @@ Examples
 
     python -m repro run 605.mcf-1554B --secure --suf --prefetcher tsb
     python -m repro compare 619.lbm-2676B --loads 10000
-    python -m repro figure fig11 --scale tiny
-    python -m repro sweep --scale small --jobs 4 --store .repro-store
     python -m repro campaign fig11 --scale tiny --jobs 2
+    python -m repro campaign campaigns/fig*.json \
+        campaigns/suf_statistics.json --scale small --jobs 4
     python -m repro campaign campaigns/matrix_demo.json --dry-run
     python -m repro figcheck --epsilon 0.02
     python -m repro attack --secure --mode on-commit
@@ -251,115 +248,75 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_figure(args) -> int:
-    from .experiments.figures import figure_drivers, run_figure
-    drivers = figure_drivers()
-    if args.name not in drivers:
-        # Checked before any runner/store is built so a typo'd name is a
-        # one-line error, not a traceback after pool construction.
-        raise SystemExit(f"unknown figure {args.name!r}; "
-                         f"known: {sorted(drivers)}")
-    runner = _exec_runner(args)
+def _resolve_specs(names: List[str]):
+    """Load every named spec, or exit naming the unknown or invalid
+    ones -- before any runner, store or trace is built."""
+    from pathlib import Path
+
+    from .campaign import (SpecError, campaigns_dir, find_campaign_spec,
+                           load_spec)
+    paths = [Path(name) if Path(name).is_file()
+             else find_campaign_spec(name) for name in names]
+    unknown = [name for name, path in zip(names, paths) if path is None]
+    if unknown:
+        root = campaigns_dir()
+        known = sorted(p.stem for p in root.glob("*.json")) \
+            if root else []
+        raise SystemExit(
+            f"no campaign spec {', '.join(map(repr, unknown))} (not a "
+            f"file, and not a committed campaign); known: {known}")
     try:
-        result = run_figure(runner, args.name)
-    except ValueError as exc:
+        return [load_spec(path) for path in paths]
+    except SpecError as exc:
         raise SystemExit(str(exc))
-    print(result.text)
-    if runner.store is not None:
-        print(f"\n[{runner.store.summary()}]")
-    return 1 if runner.failures else 0
 
 
 def cmd_campaign(args) -> int:
-    """Run one declarative campaign spec end to end.
+    """Run one or more declarative campaign specs end to end.
 
-    ``--dry-run`` prints the expanded job plan (configs x workloads,
-    estimated cell count) without building a trace or simulating;
-    ``--resume`` asserts a persistent store is in play so an interrupted
-    campaign continues from the completed cells; ``--expect-cached``
-    additionally fails if anything re-simulated.
+    Every spec resolves before anything runs, and all of them share
+    one runner, so their common cells simulate once.  A spec that
+    raises is reported on stderr and the rest still render; the exit
+    status is then 1.  ``--dry-run`` prints the expanded job plans
+    (configs x workloads, estimated cell count) without building a
+    trace or simulating; ``--resume`` asserts a persistent store is in
+    play so an interrupted campaign continues from the completed cells;
+    ``--expect-cached`` additionally fails if anything re-simulated.
     """
-    from pathlib import Path
-
-    from .campaign import (SpecError, compile_plan, find_campaign_spec,
-                           load_spec, run_campaign)
-    path = Path(args.spec)
-    if not path.is_file():
-        found = find_campaign_spec(args.spec)
-        if found is None:
-            from .campaign import campaigns_dir
-            root = campaigns_dir()
-            known = sorted(p.stem for p in root.glob("*.json")) \
-                if root else []
-            raise SystemExit(
-                f"no campaign spec {args.spec!r} (not a file, and not a "
-                f"committed campaign); known: {known}")
-        path = found
-    try:
-        spec = load_spec(path)
-    except SpecError as exc:
-        raise SystemExit(str(exc))
-    scale = spec.resolve_scale(args.scale)
+    from .campaign import compile_plan, run_campaign
+    specs = _resolve_specs(args.specs)
+    scales = [spec.resolve_scale(args.scale) for spec in specs]
+    if len({scale.name for scale in scales}) > 1:
+        pins = ", ".join(f"{spec.name}: {scale.name}"
+                         for spec, scale in zip(specs, scales))
+        raise SystemExit(f"the specs resolve to different scales ({pins}); "
+                         "pick one with --scale")
+    scale = scales[0]
     if args.dry_run:
-        print(compile_plan(spec, scale).describe())
+        print("\n\n".join(compile_plan(spec, scale).describe()
+                          for spec in specs))
         return 0
     options = _exec_options(args)
     if args.resume and options.store is None:
         raise SystemExit("--resume needs a persistent result store; "
                          "drop --no-store")
     runner = _exec_runner(args, scale=scale)
-    try:
-        result = run_campaign(spec, runner)
-    except KeyError as exc:
-        raise SystemExit(str(exc.args[0]) if exc.args else str(exc))
-    print(result.text)
-    stats = runner.execution_stats()
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(stats.items()))
-    print(f"\n[campaign {spec.name}: {summary}]")
-    if runner.failures:
-        print(runner.failure_summary(), file=sys.stderr)
-        return 1
-    if args.expect_cached and stats.get("simulated", 0) > 0:
-        print(f"--expect-cached: {stats['simulated']} job(s) were "
-              "re-simulated instead of hitting the store",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-def cmd_sweep(args) -> int:
-    """Run a figure set through the fault-tolerant executor.
-
-    The persistent store gives resume semantics: an interrupted sweep
-    rerun with the same store recomputes only the missing records, and a
-    fully cached sweep performs zero simulations (verifiable with
-    ``--expect-cached``).
-    """
-    from .experiments.figures import figure_drivers, run_figure
-    drivers = figure_drivers()
-    names = args.figures or sorted(drivers)
-    unknown = [n for n in names if n not in drivers]
-    if unknown:
-        raise SystemExit(f"unknown figure(s) {unknown}; "
-                         f"known: {sorted(drivers)}")
-    runner = _exec_runner(args)
-    broken: List[str] = []
-    for name in names:
+    broken = False
+    for spec in specs:
         try:
-            result = run_figure(runner, name)
+            result = run_campaign(spec, runner)
         except Exception as exc:
-            # One broken figure (e.g. a trace absent at this scale) must
-            # not abort the rest of the sweep.
-            broken.append(name)
-            print(f"[figure {name} failed: {type(exc).__name__}: {exc}]",
-                  file=sys.stderr)
+            # One broken spec (e.g. a trace absent at this scale) must
+            # not abort the rest.
+            broken = True
+            print(f"[campaign {spec.name} failed: "
+                  f"{type(exc).__name__}: {exc}]", file=sys.stderr)
             continue
         print(result.text)
         print()
     stats = runner.execution_stats()
     summary = ", ".join(f"{k}={v}" for k, v in sorted(stats.items()))
-    print(f"[sweep: {len(names) - len(broken)}/{len(names)} figure(s); "
-          f"{summary}]")
+    print(f"[campaign {' '.join(spec.name for spec in specs)}: {summary}]")
     print(f"[{runner.profile_summary()}]")
     if runner.failures:
         print(runner.failure_summary(), file=sys.stderr)
@@ -430,21 +387,20 @@ def cmd_multicore(args) -> int:
 def cmd_report(args) -> int:
     """Assemble benchmarks/results/*.txt into one markdown report."""
     from pathlib import Path
-    if args.figures:
-        from .experiments.figures import figure_drivers
-        drivers = figure_drivers()
-        unknown = [n for n in args.figures if n not in drivers]
-        if unknown:
-            raise SystemExit(f"unknown figure(s) {unknown}; "
-                             f"known: {sorted(drivers)}")
     results = Path(args.results_dir)
     if not results.is_dir():
         raise SystemExit(
             f"{results}: no results directory -- run "
             "`pytest benchmarks/ --benchmark-only` first")
     files = sorted(results.glob("*.txt"))
-    if args.figures:
-        files = [p for p in files if p.stem in args.figures]
+    if args.sections:
+        present = [p.stem for p in files]
+        missing = [n for n in args.sections if n not in present]
+        if missing:
+            raise SystemExit(
+                f"{results}: no <name>.txt for {missing}; "
+                f"present: {present}")
+        files = [p for p in files if p.stem in args.sections]
     if not files:
         raise SystemExit(f"{results}: empty -- run the benchmarks first")
     lines = ["# Reproduced tables and figures", "",
@@ -646,27 +602,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("workload")
     cmp_p.add_argument("--loads", type=int, default=10000)
 
-    fig_p = sub.add_parser("figure", help="regenerate a paper figure",
-                           parents=[exec_parent])
-    fig_p.add_argument("name", help="fig1, fig3, ..., fig15")
-    fig_p.add_argument("--scale", choices=sorted(SCALES),
-                       default="tiny")
-
-    sweep_p = sub.add_parser(
-        "sweep", help="run a figure set with resume support",
-        parents=[exec_parent])
-    sweep_p.add_argument("figures", nargs="*",
-                         help="figure names (default: all figures)")
-    sweep_p.add_argument("--scale", choices=sorted(SCALES),
-                         default="tiny")
-    sweep_p.add_argument("--expect-cached", action="store_true",
-                         help="fail if any job re-simulated instead of "
-                              "hitting the store (resume verification)")
-
     camp_p = sub.add_parser(
-        "campaign", help="run a declarative campaign spec",
+        "campaign", help="render figures from declarative campaign specs",
         parents=[exec_parent])
-    camp_p.add_argument("spec",
+    camp_p.add_argument("specs", nargs="+", metavar="spec",
                         help="spec file (.json/.toml) or the name of a "
                              "committed campaign under campaigns/")
     camp_p.add_argument("--scale", choices=sorted(SCALES), default=None,
@@ -745,8 +684,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     rep_p = sub.add_parser(
         "report", help="assemble benchmark results into markdown")
-    rep_p.add_argument("figures", nargs="*",
-                       help="only these figures (default: every result)")
+    rep_p.add_argument("sections", nargs="*",
+                       help="only these results, by file stem, e.g. fig1 "
+                            "or table1 (default: every result)")
     rep_p.add_argument("--results-dir", default="benchmarks/results")
     rep_p.add_argument("--output", default=None)
 
@@ -758,8 +698,6 @@ COMMANDS = {
     "run": cmd_run,
     "trace": cmd_trace,
     "compare": cmd_compare,
-    "figure": cmd_figure,
-    "sweep": cmd_sweep,
     "campaign": cmd_campaign,
     "tables": cmd_tables,
     "figcheck": cmd_figcheck,

@@ -1,24 +1,20 @@
-"""Experiment drivers: one per table and figure of the paper."""
+"""Experiment infrastructure and the drivers that have no campaign spec.
 
-from .figures import (ALL_FIGURES, FigureResult, MCF_TRACE, fig1, fig3,
-                      fig4, fig5, fig6, fig10, fig11, fig12, fig13, fig14,
-                      figure_drivers, run_figure, suf_statistics)
-from .multicore_experiments import fig15, smt_accuracy_check
+Every paper figure is a spec under ``campaigns/`` that
+:func:`repro.campaign.run_campaign` renders.  What stays here is the
+runner they share, the tables and the SMT accuracy proxy.
+"""
+
+from .multicore_experiments import smt_accuracy_check
 from .runner import (BASELINE, Config, ExperimentError, ExperimentRunner,
-                     SCALES, Scale, current_scale, nonsecure,
-                     on_access_secure, on_commit_secure, ts_config)
+                     SCALES, Scale, current_scale)
 from .tables import (contribution_storage_text, table1_text, table2_text,
                      table3_rows, table3_text)
 
 __all__ = [
-    "ALL_FIGURES", "FigureResult", "MCF_TRACE", "fig1", "fig3", "fig4",
-    "fig5", "fig6", "fig10", "fig11", "fig12", "fig13", "fig14",
-    "figure_drivers", "run_figure",
-    "suf_statistics", "fig15", "smt_accuracy_check",
+    "smt_accuracy_check",
     "BASELINE", "Config", "ExperimentError", "ExperimentRunner",
-    "SCALES", "Scale",
-    "current_scale", "nonsecure", "on_access_secure", "on_commit_secure",
-    "ts_config",
+    "SCALES", "Scale", "current_scale",
     "contribution_storage_text", "table1_text", "table2_text",
     "table3_rows", "table3_text",
 ]

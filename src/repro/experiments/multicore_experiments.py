@@ -1,93 +1,18 @@
-"""Multi-core experiment drivers (Fig. 15, Section VII-B).
+"""Multi-core experiments beyond Fig. 15 (Section VII-B).
 
-Every mix simulation routes through the runner's execution layer as an
-independent :class:`~repro.exec.pool.MixJob`: with ``jobs>1`` the sweep
-shards per-mix x per-config across worker processes, and with a result
-store an interrupted Fig. 15 sweep resumes from the completed mixes.
-The alone-IPC normalization runs are plain single-core baseline jobs and
-ride the same pool and store.
+Fig. 15 itself is ``campaigns/fig15.json``, rendered by the campaign
+engine.  The SMT proxy below routes every mix simulation through the
+runner's execution layer as an independent
+:class:`~repro.exec.pool.MixJob`, so ``jobs>1`` shards it across worker
+processes and a result store resumes it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
-from ..analysis.metrics import amean, geomean
-from ..analysis.report import format_table
-from ..prefetchers.base import MODE_ON_COMMIT
-from .figures import FigureResult
-from .runner import BASELINE, Config, ExperimentRunner
-
-#: Fig. 15's series, in the paper's legend order.
-FIG15_CONFIGS = (
-    ("no-pref/S", Config(secure=True)),
-    ("berti-OA/NS", Config(prefetcher="berti")),
-    ("berti-OC/S", Config(prefetcher="berti", secure=True,
-                          mode=MODE_ON_COMMIT)),
-    ("berti-OC/S+SUF", Config(prefetcher="berti", secure=True, suf=True,
-                              mode=MODE_ON_COMMIT)),
-    ("tsb", Config(prefetcher="tsb", secure=True, mode=MODE_ON_COMMIT)),
-    ("tsb+suf", Config(prefetcher="tsb", secure=True, suf=True,
-                       mode=MODE_ON_COMMIT)),
-)
-
-
-def fig15(runner: ExperimentRunner, cores: int = 4,
-          n_mixes: Optional[int] = None) -> FigureResult:
-    """Fig. 15: weighted speedup over 4-core mixes, normalized to the
-    non-secure, no-prefetch system.
-
-    The paper runs 150 random mixes; the runner's scale picks a smaller
-    seeded count.  Mixes are reported sorted by speedup, as in the figure.
-    """
-    mixes = runner.mixes(cores=cores)
-    if n_mixes is not None:
-        mixes = mixes[:n_mixes]
-
-    # Alone-IPC runs are plain single-core baseline simulations, so they
-    # route through the runner's execution layer: store-backed, and run
-    # in parallel across workers when the runner has jobs > 1.
-    distinct = list({t.name: t for mix in mixes for t in mix}.values())
-    runner.run_pool(BASELINE, distinct)
-
-    def alone(mix: Sequence) -> List[float]:
-        return [runner.run(BASELINE, t).ipc for t in mix]
-
-    # Normalization baseline: non-secure, no prefetching, same mix.  In
-    # failsoft mode a permanently failed mix comes back None (recorded in
-    # runner.failures) and drops out of the figure instead of aborting it.
-    base_results = runner.run_mixes(BASELINE, mixes, cores=cores)
-    base_ws = [result.weighted_speedup(alone(mix))
-               if result is not None else None
-               for mix, result in zip(mixes, base_results)]
-
-    rows: Dict[str, List[float]] = {}
-    per_config_norms: Dict[str, List[float]] = {}
-    for label, config in FIG15_CONFIGS:
-        results = runner.run_mixes(config, mixes, cores=cores)
-        norms = []
-        for mix, base, shared in zip(mixes, base_ws, results):
-            if base is None:
-                continue
-            if shared is None:
-                norms.append(float("nan"))
-                continue
-            ws = shared.weighted_speedup(alone(mix))
-            norms.append(ws / base if base else 0.0)
-        clean = [n for n in norms if n == n]
-        per_config_norms[label] = sorted(clean)
-        rows[label] = [geomean(norms),
-                       min(clean) if clean else float("nan"),
-                       max(clean) if clean else float("nan")]
-
-    text = format_table(
-        f"Fig. 15: {cores}-core weighted speedup vs non-secure no-prefetch "
-        f"({len(mixes)} mixes; geomean/min/max)",
-        ["geomean", "min", "max"], rows)
-    result = FigureResult("fig15", "multi-core mixes",
-                          ["geomean", "min", "max"], rows, text)
-    result.sorted_norms = per_config_norms
-    return result
+from ..analysis.metrics import amean
+from .runner import Config, ExperimentRunner
 
 
 def smt_accuracy_check(runner: ExperimentRunner,

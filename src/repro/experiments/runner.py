@@ -185,13 +185,12 @@ class Config:
                   mitigation: str = "none") -> "Config":
         """Build a configuration from declarative-spec fields.
 
-        The single constructor behind the campaign compiler and the
-        legacy helpers: ``mode`` is one of :data:`SPEC_MODES`
-        (``nonsecure`` / ``on-access-secure`` / ``on-commit-secure`` /
-        ``timely-secure``), ``prefetcher`` a baseline registry name
-        (``timely-secure`` rewrites it to the TS variant).  Validation
-        errors name the offending spec field so a bad campaign cell
-        reports *which* knob is wrong.
+        The constructor behind the campaign compiler: ``mode`` is one
+        of :data:`SPEC_MODES` (``nonsecure`` / ``on-access-secure`` /
+        ``on-commit-secure`` / ``timely-secure``), ``prefetcher`` a
+        baseline registry name (``timely-secure`` rewrites it to the TS
+        variant).  Validation errors name the offending spec field so
+        a bad campaign cell reports *which* knob is wrong.
         """
         if not isinstance(mode, str) or mode not in SPEC_MODES:
             raise ValueError(
@@ -232,33 +231,8 @@ class Config:
             raise ValueError(f"config spec invalid: {exc}") from None
 
 
-#: The canonical configurations the figures reference.
+#: The non-secure, no-prefetch system every speedup is normalized to.
 BASELINE = Config()
-
-
-def nonsecure(prefetcher: str) -> Config:
-    """Deprecated: use ``Config.from_spec('nonsecure', prefetcher)``."""
-    return Config.from_spec("nonsecure", prefetcher)
-
-
-def on_access_secure(prefetcher: str) -> Config:
-    """Deprecated: use ``Config.from_spec('on-access-secure', ...)``."""
-    return Config.from_spec("on-access-secure", prefetcher)
-
-
-def on_commit_secure(prefetcher: str, *, suf: bool = False,
-                     classify: bool = False) -> Config:
-    """Deprecated: use ``Config.from_spec('on-commit-secure', ...)``."""
-    return Config.from_spec("on-commit-secure", prefetcher, suf=suf,
-                            classify=classify)
-
-
-def ts_config(prefetcher: str, *, suf: bool = False) -> Config:
-    """The timely-secure variant of a baseline prefetcher.
-
-    Deprecated: use ``Config.from_spec('timely-secure', ...)``.
-    """
-    return Config.from_spec("timely-secure", prefetcher, suf=suf)
 
 
 class ExperimentRunner:

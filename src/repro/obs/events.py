@@ -29,7 +29,8 @@ EVENT_KINDS = (
     "fill",             # a demand/store/commit fill installed a line
     "evict",            # a line left a cache level
     "pf_issue",         # a prefetch request entered the memory system
-    "pf_drop",          # a prefetch was dropped (duplicate, PQ/MSHR full)
+    "pf_drop",          # a prefetch was dropped (duplicate, PQ/MSHR
+                        # full, DRAM backlog)
     "pf_fill",          # a prefetched line was installed
     "pf_use",           # a demand access first hit a prefetched line
     "gm_fill",          # a speculative fill was registered in the GM

@@ -229,7 +229,7 @@ class MemoryHierarchy:
                 self.events.emit("gm_commit_write", time, block, "GM")
             if decision is not None:
                 gm_propagate, wbb = decision.gm_propagate, decision.wbb
-                self._record_suf_stop(block, hit_level)
+                self._record_suf_stop(block, hit_level, time)
             else:
                 gm_propagate, wbb = True, True
             self._l1d_commit_write(block, time, gm_propagate, wbb)
@@ -246,8 +246,10 @@ class MemoryHierarchy:
         completion, _ = self._l1d_access(block, time, REQ_COMMIT)
         return completion - time
 
-    def _record_suf_stop(self, block: int, hit_level: int) -> None:
-        """Account a truncated propagation decision and its correctness."""
+    def _record_suf_stop(self, block: int, hit_level: int,
+                         time: int) -> None:
+        """Account a truncated propagation decision, made at commit
+        ``time``, and its correctness."""
         stats = self.gm_stats
         if hit_level == LEVEL_L2:
             provider = self.l2
@@ -261,7 +263,7 @@ class MemoryHierarchy:
         else:
             stats.suf_mispredict += 1
         if self.events is not None:
-            self.events.emit("suf_stop", 0, block, "SUF")
+            self.events.emit("suf_stop", time, block, "SUF")
 
     # ------------------------------------------------------------------
     # prefetch path
@@ -285,12 +287,13 @@ class MemoryHierarchy:
             reference = bus_free
         if dram._bus_free_low - reference > dram._backlog_margin:
             if fill_level <= LEVEL_L1D:
-                self.l1d.stats.prefetches_dropped += 1
-            elif fill_level == LEVEL_L2:
-                self.l2.stats.prefetches_dropped += 1
-            else:
-                self.llc.stats.prefetches_dropped += 1
-            return False
+                return self.l1d._drop_prefetch(block, time)
+            if fill_level == LEVEL_L2:
+                return self.l2._drop_prefetch(block, time)
+            if self.llc_front is not self.llc:
+                # The LLC's events carry the block it sees: scrambled.
+                block = self.llc_front.scramble(block)
+            return self.llc._drop_prefetch(block, time)
         if fill_level <= LEVEL_L1D:
             # Inline of l1d.mshr_occupancy: the pool list is sorted, so
             # the busy count (next-free strictly after ``time``) is one

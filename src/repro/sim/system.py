@@ -1130,7 +1130,7 @@ class System:
                         if events is not None:
                             events.emit("gm_commit_write", t_ret, block, "GM")
                         if decision is not None:
-                            record_suf_stop(block, recorded_level)
+                            record_suf_stop(block, recorded_level, t_ret)
                             l1d_commit_write(block, t_ret,
                                              decision.gm_propagate,
                                              decision.wbb)

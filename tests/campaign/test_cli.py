@@ -69,15 +69,14 @@ class TestRun(object):
 
 
 class TestSharedOptionErrors(object):
-    def test_figure_unknown_name_lists_drivers(self):
-        with pytest.raises(SystemExit,
-                           match="unknown figure 'fig2'.*fig12"):
-            main(["figure", "fig2", "--no-store"])
-
     def test_report_unknown_figure_lists_drivers(self, tmp_path):
+        """A requested section without ``<name>.txt`` is named, next to
+        the results that do exist."""
+        for name in ("fig12", "table1"):
+            (tmp_path / f"{name}.txt").write_text(f"{name}\n")
         with pytest.raises(SystemExit,
-                           match="unknown figure.*fig99.*fig12"):
-            main(["report", "fig99",
+                           match=r"\['fig99'\].*\['fig12', 'table1'\]"):
+            main(["report", "fig12", "fig99",
                   "--results-dir", str(tmp_path)])
 
     def test_campaign_rejects_nonpositive_jobs(self):

@@ -1,10 +1,13 @@
-"""Multi-core experiment drivers at micro scale."""
+"""Multi-core experiments at micro scale."""
+
+import json
+from pathlib import Path
 
 import pytest
 
+from repro.campaign import parse_spec, run_campaign
 from repro.exec.pool import MixJob, execute_job
-from repro.experiments import ExperimentRunner, Scale, fig15, \
-    smt_accuracy_check
+from repro.experiments import ExperimentRunner, Scale, smt_accuracy_check
 from repro.experiments.runner import Config
 from repro.security.mitigations import randomized_llc_params
 from repro.sim.multicore import MulticoreSystem
@@ -16,6 +19,17 @@ from repro.workloads.spec import spec_trace
 def micro_runner():
     # 2 mixes of very short traces keep this test in seconds.
     return ExperimentRunner(scale=Scale("micro", 2000, 3, 1, 2))
+
+
+FIG15 = Path(__file__).resolve().parents[2] / "campaigns" / "fig15.json"
+
+
+def fig15(runner, cores, n_mixes):
+    """Render the committed Fig. 15 spec over ``n_mixes`` mixes of
+    ``cores`` cores."""
+    doc = json.loads(FIG15.read_text())
+    doc["outputs"][0].update(cores=cores, n_mixes=n_mixes)
+    return run_campaign(parse_spec(doc, str(FIG15)), runner)
 
 
 class TestFig15:

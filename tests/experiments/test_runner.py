@@ -9,8 +9,7 @@ from repro.core.tsb import TSBPrefetcher
 from repro.exec.faults import FaultPlan
 from repro.experiments import (BASELINE, Config, ExperimentError,
                                ExperimentRunner, SCALES, Scale,
-                               current_scale, nonsecure, on_access_secure,
-                               on_commit_secure, ts_config)
+                               current_scale)
 from repro.prefetchers import MODE_ON_ACCESS, MODE_ON_COMMIT
 
 #: Small enough that executor tests fork and simulate in milliseconds.
@@ -60,18 +59,21 @@ class TestScales:
 class TestConfigs:
     def test_labels(self):
         assert BASELINE.label() == "none/OA/NS"
-        assert on_commit_secure("berti", suf=True).label() == \
-            "berti/OC/S/SUF"
+        assert Config.from_spec("on-commit-secure", "berti",
+                                suf=True).label() == "berti/OC/S/SUF"
 
     def test_helpers(self):
-        assert nonsecure("ipcp").mode == MODE_ON_ACCESS
-        assert on_access_secure("ipcp").secure
-        assert on_commit_secure("ipcp").mode == MODE_ON_COMMIT
+        assert Config.from_spec("nonsecure", "ipcp").mode == MODE_ON_ACCESS
+        assert Config.from_spec("on-access-secure", "ipcp").secure
+        assert Config.from_spec("on-commit-secure", "ipcp").mode == \
+            MODE_ON_COMMIT
 
-    def test_ts_config_names(self):
-        assert ts_config("ip-stride").prefetcher == "ts-ip-stride"
-        assert ts_config("berti").prefetcher == "tsb"
-        assert ts_config("berti", suf=True).suf
+    def test_timely_secure_names(self):
+        def ts(prefetcher, **kwargs):
+            return Config.from_spec("timely-secure", prefetcher, **kwargs)
+        assert ts("ip-stride").prefetcher == "ts-ip-stride"
+        assert ts("berti").prefetcher == "tsb"
+        assert ts("berti", suf=True).suf
 
 
 class TestConfigValidation:
@@ -107,9 +109,9 @@ class TestConfigValidation:
 
     def test_helpers_are_keyword_only(self):
         with pytest.raises(TypeError):
-            on_commit_secure("berti", True)
+            Config.from_spec("on-commit-secure", "berti", True)
         with pytest.raises(TypeError):
-            ts_config("berti", True)
+            Config.from_spec("timely-secure", "berti", True)
 
 
 class TestPrefetcherSpecs:

@@ -4,9 +4,14 @@ import json
 
 import pytest
 
+from repro.core.tsb import TSBPrefetcher
 from repro.obs import (EVENT_KINDS, EVENT_UNITS, EventTrace, ObsConfig,
                        events_jsonl, validate_event)
+from repro.prefetchers.base import MODE_ON_COMMIT
+from repro.prefetchers.registry import make_prefetcher
+from repro.sim.stats import GhostMinionStats
 from repro.sim.system import System
+from repro.workloads.spec import spec_trace
 from repro.workloads.synthetic import stream_trace
 
 
@@ -129,3 +134,55 @@ class TestSystemIntegration:
         text = events_jsonl(traced.events)
         for line in text.splitlines():
             validate_event(json.loads(line))
+
+
+#: ``System`` arguments (``prefetcher`` as a registry name or "tsb") that
+#: reach every prefetch-drop site -- resident or in flight, PQ or MSHRs
+#: full, the DRAM-backlog throttle, the rand-llc scramble -- and every
+#: GhostMinion commit action, with and without SUF.
+IDENTITY_CONFIGS = {
+    "berti-oa": {"prefetcher": "berti"},
+    "spp-randllc": {"prefetcher": "spp+ppf", "llc_scramble": 0x5DEECE66D},
+    "berti-delay": {"prefetcher": "berti", "delay_mitigation": True},
+    "berti-oc-gm": {"prefetcher": "berti", "secure": True,
+                    "train_mode": MODE_ON_COMMIT},
+    "berti-oc-gm-suf": {"prefetcher": "berti", "secure": True, "suf": True,
+                        "train_mode": MODE_ON_COMMIT},
+    "tsb-suf": {"prefetcher": "tsb", "secure": True, "suf": True,
+                "train_mode": MODE_ON_COMMIT},
+    "ipcp-oa-gm": {"prefetcher": "ipcp", "secure": True},
+}
+
+
+@pytest.mark.parametrize("workload", ["619.lbm-2676B", "605.mcf-1554B"])
+@pytest.mark.parametrize("name", sorted(IDENTITY_CONFIGS))
+def test_event_counts_equal_their_counters(name, workload):
+    """With no warm-up reset and no event lost from the ring, each kind
+    counts what its stats counter counts, and a truncated propagation
+    (``suf_stop``) directly follows its on-commit write."""
+    kwargs = dict(IDENTITY_CONFIGS[name])
+    spec = kwargs.pop("prefetcher")
+    kwargs["prefetcher"] = TSBPrefetcher() if spec == "tsb" \
+        else make_prefetcher(spec)
+    system = System(obs=ObsConfig(trace_events=True,
+                                  trace_capacity=1 << 18), **kwargs)
+    result = system.run(spec_trace(workload, 6000), warmup=0)
+    events = system.events
+    assert events.dropped() == 0
+    levels = (result.l1d, result.l2, result.llc)
+    gm = result.gm if result.gm is not None else GhostMinionStats()
+    expected = {
+        "pf_drop": sum(level.prefetches_dropped for level in levels),
+        "pf_issue": sum(level.prefetches_issued for level in levels),
+        "pf_use": sum(level.prefetches_useful for level in levels),
+        "suf_drop": gm.commit_drops_suf,
+        "suf_stop": gm.wb_stopped_suf,
+        "gm_refetch": gm.commit_refetches,
+        "gm_commit_write": gm.commit_writes,
+    }
+    counts = events.counts_by_kind()
+    assert {kind: counts.get(kind, 0) for kind in expected} == expected
+    records = events.events()
+    for previous, (kind, cycle, block, _unit) in zip(records, records[1:]):
+        if kind == "suf_stop":
+            assert previous[:3] == ("gm_commit_write", cycle, block)

@@ -1,5 +1,6 @@
 """Command-line interface."""
 
+import json
 import re
 
 import pytest
@@ -26,8 +27,15 @@ class TestParser:
 
     def test_figure_scale_choices(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["figure", "fig1",
+            build_parser().parse_args(["campaign", "fig1",
                                        "--scale", "huge"])
+
+    @pytest.mark.parametrize("command", ["figure", "sweep"])
+    def test_retired_figure_commands(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "fig1"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -72,8 +80,8 @@ class TestCommands:
         assert "channel closed" in capsys.readouterr().out
 
     def test_figure_unknown(self):
-        with pytest.raises(SystemExit, match="unknown figure"):
-            main(["figure", "fig99"])
+        with pytest.raises(SystemExit, match="no campaign spec 'fig99'"):
+            main(["campaign", "fig99"])
 
     def test_multicore(self, capsys):
         assert main(["multicore", "--mixes", "1", "--loads", "1200",
@@ -90,6 +98,15 @@ class TestCommands:
                      "--output", str(out_file)]) == 0
         content = out_file.read_text()
         assert "## fig1" in content and "Fig. 1: hello" in content
+
+    def test_report_selects_any_result(self, tmp_path, capsys):
+        for name in ("fig1", "table1"):
+            (tmp_path / f"{name}.txt").write_text(f"{name} text\n")
+        assert main(["report", "table1",
+                     "--results-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "## table1" in out and "table1 text" in out
+        assert "fig1" not in out
 
     def test_report_missing_dir(self, tmp_path):
         with pytest.raises(SystemExit, match="no results directory"):
@@ -190,7 +207,7 @@ class TestArgumentValidation:
 
     def test_figure_zero_jobs(self):
         with pytest.raises(SystemExit, match="--jobs must be a positive"):
-            main(["figure", "fig1", "--jobs", "0", "--no-store"])
+            main(["campaign", "fig1", "--jobs", "0", "--no-store"])
 
     @pytest.mark.parametrize("command", ["run", "trace", "attack"])
     @pytest.mark.parametrize("flags, message", [
@@ -254,26 +271,52 @@ class TestSweep:
     def micro_scale(self, monkeypatch):
         monkeypatch.setitem(SCALES, "micro", MICRO)
 
-    def test_unknown_figure_rejected(self):
-        with pytest.raises(SystemExit, match="unknown figure"):
-            main(["sweep", "fig99", "--no-store"])
-
     def test_sweep_then_cached_resume(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        argv = ["sweep", "fig1", "--scale", "micro", "--store", store]
+        argv = ["campaign", "fig1", "fig10", "--scale", "micro",
+                "--store", store]
         assert main(argv) == 0
         first = capsys.readouterr().out
-        assert "Fig. 1" in first and "simulated=" in first
+        assert "Fig. 1" in first and "Fig. 10" in first
+        assert "[campaign fig1 fig10: " in first and "simulated=" in first
         assert "profile:" in first
 
         # Everything is in the store now: the rerun must hit for every
         # job, which --expect-cached turns into a hard check.
-        assert main(argv + ["--expect-cached"]) == 0
+        assert main(argv + ["--resume", "--expect-cached"]) == 0
         second = capsys.readouterr().out
         assert "simulated=0" in second
 
+    def test_unknown_spec_exits_before_simulating(self, tmp_path):
+        store = tmp_path / "store"
+        with pytest.raises(SystemExit, match="no campaign spec 'fig99'"):
+            main(["campaign", "fig1", "fig99", "--scale", "micro",
+                  "--store", str(store)])
+        assert not store.exists()
+
+    def test_specs_must_agree_on_scale(self, monkeypatch):
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        with pytest.raises(SystemExit, match="matrix_demo: tiny.*--scale"):
+            main(["campaign", "fig1", "matrix_demo", "--dry-run"])
+
+    def test_broken_spec_does_not_stop_the_rest(self, tmp_path, capsys):
+        # A trace-scoped cell whose trace is absent at this scale.
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps({
+            "campaign": {"name": "broken", "description": ""},
+            "outputs": [{"kind": "table", "title": "lbm", "columns": ["x"],
+                         "rows": [{"label": "lbm", "cells": [
+                             {"metric": "speedup",
+                              "workload": "619.lbm-2676B"}]}]}]}))
+        assert main(["campaign", str(broken), "fig1", "--scale", "micro",
+                     "--no-store"]) == 1
+        captured = capsys.readouterr()
+        assert "[campaign broken failed: KeyError" in captured.err
+        assert "Fig. 1" in captured.out
+        assert "[campaign broken fig1: " in captured.out
+
     def test_figure_no_store(self, capsys):
-        assert main(["figure", "fig1", "--scale", "micro",
+        assert main(["campaign", "fig1", "--scale", "micro",
                      "--no-store"]) == 0
         out = capsys.readouterr().out
         assert "Fig. 1" in out
@@ -332,7 +375,7 @@ class TestSigtermParity:
         figure, _, summary = capsys.readouterr().out.partition(
             "\n[campaign fig12: ")
         stats = dict(item.split("=") for item in
-                     summary.rstrip("]\n").split(", "))
+                     summary.partition("]")[0].split(", "))
         assert stats["hits"] == "2" and stats["simulated"] == "22"
 
         assert main(["campaign", "fig12", "--scale", "tiny",
