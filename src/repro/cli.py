@@ -253,8 +253,7 @@ def _resolve_specs(names: List[str]):
     ones -- before any runner, store or trace is built."""
     from pathlib import Path
 
-    from .campaign import (SpecError, campaigns_dir, find_campaign_spec,
-                           load_spec)
+    from .campaign import campaigns_dir, find_campaign_spec, load_spec
     paths = [Path(name) if Path(name).is_file()
              else find_campaign_spec(name) for name in names]
     unknown = [name for name, path in zip(names, paths) if path is None]
@@ -267,7 +266,7 @@ def _resolve_specs(names: List[str]):
             f"file, and not a committed campaign); known: {known}")
     try:
         return [load_spec(path) for path in paths]
-    except SpecError as exc:
+    except ValueError as exc:   # a SpecError, or an unknown REPRO_SCALE
         raise SystemExit(str(exc))
 
 

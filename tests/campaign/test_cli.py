@@ -61,6 +61,11 @@ class TestRun(object):
         with pytest.raises(SystemExit, match="known.*fig12"):
             main(["campaign", "figNaN", "--dry-run"])
 
+    def test_unknown_scale_env_is_a_clean_error(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "huge")
+        with pytest.raises(SystemExit, match="REPRO_SCALE='huge'"):
+            main(["campaign", "fig1", "--dry-run"])
+
     def test_invalid_spec_is_a_clean_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"campaign": {"name": "x"}, "outputs": []}')
