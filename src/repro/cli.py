@@ -63,7 +63,7 @@ from typing import List, Optional
 
 from .analysis.metrics import apki_breakdown, load_miss_latency, mpki
 from .exec.options import ExecOptions, default_store, exec_arguments
-from .experiments.runner import SCALES, ExperimentRunner
+from .experiments.runner import SCALES, ExperimentRunner, current_scale
 from .obs import ObsConfig, events_jsonl, write_timeseries
 from .prefetchers.base import MODE_ON_ACCESS, MODE_ON_COMMIT
 from .sim.system import System
@@ -438,6 +438,11 @@ def cmd_figcheck(args) -> int:
     if not 0 < args.epsilon < 1:
         raise SystemExit(f"--epsilon must be in (0, 1), "
                          f"got {args.epsilon}")
+    try:
+        # A spec without a scale pin is validated at REPRO_SCALE.
+        current_scale()
+    except ValueError as exc:
+        raise SystemExit(str(exc))
     progress = None if args.quiet else (
         lambda name: print(f"  rendering {name} ...", file=sys.stderr))
     if args.update:

@@ -25,9 +25,9 @@ where the paper's mechanisms attach: the SUF (Section IV) consults the
 2-bit hit level recorded at access time to drop/truncate redundant
 commit updates (``stats.commit_drops_suf`` / ``suf_accuracy``), and TSB
 (Section V) trains at commit with X-LQ-preserved access-time timing --
-both orchestrated by :mod:`repro.sim.hierarchy` and
-:mod:`repro.sim.system`, which call :meth:`GhostMinionCache.lookup`,
-:meth:`fill`, :meth:`apply_pending`, and :meth:`take` here.
+both orchestrated by :mod:`repro.sim.hierarchy`, whose speculative load
+and commit action call :meth:`GhostMinionCache.fill` and
+:meth:`apply_until` here and inline :meth:`lookup` and :meth:`take`.
 """
 
 from __future__ import annotations

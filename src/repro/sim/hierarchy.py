@@ -12,9 +12,13 @@ Two operating modes:
   Filter (Section IV) optionally drops or truncates these commit-time
   updates based on the 2-bit hit level recorded at access time.
 
-The CPU model calls :meth:`MemoryHierarchy.demand_load` at a load's access
-time and, in secure mode, :meth:`MemoryHierarchy.commit_load` at its commit
-time with the hit level the load recorded in its load-queue entry.
+Each GhostMinion flow has one implementation, a closure built here
+(:func:`make_speculative_load`, :func:`make_commit_load`).  The simulate
+loop calls ``MemoryHierarchy.speculative_load`` at a secure load's access
+time (a non-secure load takes the L1D walk), and the commit drain calls
+``MemoryHierarchy.commit_load`` at its commit time with the hit level the
+load recorded in its load-queue entry.  :meth:`MemoryHierarchy.demand_load`
+wraps the access in a :class:`LoadResult` for per-load callers.
 """
 
 from __future__ import annotations
@@ -42,6 +46,165 @@ class LoadResult(NamedTuple):
     #: Cycles from access to data availability (the *fetch latency* Berti
     #: and TSB train on).
     fetch_latency: int
+
+
+def make_speculative_load(gm: GhostMinionCache, l1d: CacheLevel, walk,
+                          hit_latency: int):
+    """Build GhostMinion's speculative load (Fig. 2, flow 1).
+
+    ``speculative_load(block, time, timestamp, count_useful)`` returns
+    ``(completion, level, gm_hit)``.  The GM and the L1D are probed in
+    parallel.  On a GM miss, ``walk`` (the L1D-rooted descent) runs
+    invisibly, with ``update=False, fill=False``, and data from below
+    the L1D fills only the GM.  ``timestamp`` orders the fill for
+    TimeGuarding, and a load that does not ``count_useful`` (a
+    wrong-path one) fills a transient line.
+    """
+    stats = gm.stats
+    heap = gm._pending_heap
+    apply_until = gm.apply_until
+    gm_sets = gm.sets
+    gm_mask = gm._set_mask
+    gm_pending = gm._pending
+    gm_fill = gm.fill
+    probe = l1d.probe
+
+    def speculative_load(block, time, timestamp, count_useful):
+        if heap and heap[0][0] <= time:
+            apply_until(time)
+        # GhostMinionCache.lookup, inlined: the resident set, then the
+        # fills still in flight.
+        line = gm_sets[block & gm_mask].get(block)
+        if line is None:
+            line = gm_pending.get(block)
+        if line is not None:
+            # GM hit (possibly still in flight).  The L1D is probed in
+            # parallel but provides nothing and updates nothing.  The GM
+            # array itself reads in 1 cycle, but load-to-use still goes
+            # through the normal load pipeline, so a GM hit is never
+            # faster than an L1D hit.
+            stats.gm_hits += 1
+            probe(block, time, REQ_LOAD)
+            completion = time + hit_latency
+            if line.fill_time > completion:
+                completion = line.fill_time
+            return completion, LEVEL_L1D, True
+        stats.gm_misses += 1
+        completion, served = walk(block, time, REQ_LOAD, False, False,
+                                  count_useful)
+        if served != LEVEL_L1D:
+            # L1D-provided data takes no GM entry: the L1D already holds
+            # the line, so commit will merely re-touch it (the redundant
+            # LRU update SUF filters).  Only data from L2/LLC/DRAM --
+            # which the invisible walk did not install anywhere -- parks
+            # in the GM awaiting its on-commit write.
+            gm_fill(block, completion, timestamp, completion - time,
+                    not count_useful)
+        return completion, served, False
+
+    return speculative_load
+
+
+def make_commit_load(gm: GhostMinionCache, l1d: CacheLevel, l2: CacheLevel,
+                     llc_front, walk, commit_filter, write_latency: int):
+    """Build GhostMinion's commit-time hierarchy update for one load.
+
+    ``commit_load(block, time, hit_level, refetches=None)`` performs the
+    on-commit write (Fig. 2, flow 2a) or, when the GM line is gone, the
+    re-fetch (flow 2b).  ``hit_level`` is the 2-bit level recorded in
+    the load-queue entry at access time (Fig. 7, step 1).  With a SUF
+    ``commit_filter``, updates for L1D-provided data are dropped and
+    writeback propagation is truncated at the level below the provider
+    (steps 2-4).  Events go to ``gm.events`` when one is attached.
+
+    Returns the latency of the commit-time update -- the (misleading)
+    value a naive on-commit Berti observes as its "fetch latency"
+    (Section V-B).  Given a ``refetches`` list, a re-fetch is appended
+    to it as ``(block, time)`` for the caller's batched resolver
+    (``flatwalk.make_refetch_batch``) instead of walking, and counts 0.
+    """
+    stats = gm.stats
+    heap = gm._pending_heap
+    apply_until = gm.apply_until
+    gm_sets = gm.sets
+    gm_mask = gm._set_mask
+    gm_pending = gm._pending
+    l1d_contains = l1d.contains
+    l1d_commit_write = l1d.commit_write
+    # Where SUF truncates propagation: the provider below the L1D.
+    providers = {LEVEL_L2: l2.contains, LEVEL_LLC: llc_front.contains}
+    # The filter's contract is a *pure* function of the 2-bit hit level
+    # (repro.core.suf), so its four possible decisions are memoized.
+    decisions = {}
+
+    def commit_load(block, time, hit_level, refetches=None):
+        if heap and heap[0][0] <= time:
+            apply_until(time)
+        # GhostMinionCache.take, inlined.
+        line = gm_sets[block & gm_mask].pop(block, None)
+        if line is None:
+            line = gm_pending.pop(block, None)
+        events = gm.events
+        if commit_filter is not None:
+            decision = decisions.get(hit_level)
+            if decision is None:
+                decision = decisions[hit_level] = commit_filter(hit_level)
+            if decision.drop:
+                stats.commit_drops_suf += 1
+                if l1d_contains(block):
+                    stats.suf_correct += 1
+                else:
+                    stats.suf_mispredict += 1
+                if events is not None:
+                    events.emit("suf_drop", time, block, "SUF")
+                return 0
+        else:
+            decision = None
+
+        if line is not None:
+            # On-commit write: the line moves GM -> L1D.
+            stats.commit_writes += 1
+            if events is not None:
+                events.emit("gm_commit_write", time, block, "GM")
+            if decision is None:
+                l1d_commit_write(block, time, True, True)
+                return write_latency
+            provider_contains = providers.get(hit_level)
+            if provider_contains is not None:
+                # A truncated propagation: correct when the provider
+                # still holds the line.
+                stats.wb_stopped_suf += 1
+                if provider_contains(block):
+                    stats.suf_correct += 1
+                else:
+                    stats.suf_mispredict += 1
+                if events is not None:
+                    events.emit("suf_stop", time, block, "SUF")
+            l1d_commit_write(block, time, decision.gm_propagate,
+                             decision.wbb)
+            return write_latency
+
+        # The GM line was evicted before commit (or, for L1D-provided
+        # data, never existed): re-fetch into the non-speculative
+        # hierarchy.
+        stats.commit_refetches += 1
+        if hit_level > LEVEL_L1D:
+            stats.gm_lost_before_commit += 1
+        if events is not None:
+            events.emit("gm_refetch", time, block, "GM")
+        if refetches is not None:
+            refetches.append((block, time))
+            return 0
+        completion, _ = walk(block, time, REQ_COMMIT)
+        return completion - time
+
+    return commit_load
+
+
+def _no_commit_action(block: int, time: int, hit_level: int,
+                      refetches=None) -> int:
+    """A non-secure hierarchy's commit: the access already updated it."""
+    return 0
 
 
 class MemoryHierarchy:
@@ -78,9 +241,6 @@ class MemoryHierarchy:
         self.gm_stats = GhostMinionStats()
         self.gm = GhostMinionCache(params.gm, self.gm_stats) if secure \
             else None
-        # Hot-path hoists (demand_load runs once per load): bound methods
-        # of the fixed collaborators and the constants behind a GM hit's
-        # latency and the prefetch-demotion threshold.
         #: The hierarchy walks (flatwalk.make_flat_descent) rooted at the
         #: L1D, the L2 and the LLC, one per prefetch fill level.  The
         #: upper two cross ``llc_front``, so under rand-llc the LLC and
@@ -104,22 +264,20 @@ class MemoryHierarchy:
         #: Identity-stable alias of the L1D MSHR next-free times (the pool
         #: mutates the list in place); read by the prefetch-demotion check.
         self._l1d_mshr_times = self.l1d._mshrs.times
-        self._gm_hit_latency = max(self.gm.latency, params.l1d.latency) \
-            if secure else 0
-        self._gm_latency = params.gm.latency if secure else 0
-        self._l1d_commit_write = self.l1d.commit_write
-        self._l1d_contains = self.l1d.contains
-        #: The commit filter's contract is a *pure* function of the 2-bit
-        #: hit level (repro.core.suf), so its four possible decisions are
-        #: memoized lazily instead of re-deriving one per committed load.
-        self._filter_memo = {}
-        #: Alias of the GM's pending-fill heap (identity is stable: the
-        #: GM clears it in place).  Callers peek it to skip apply_until
-        #: calls when no pending fill is due yet -- the common case.
-        self._gm_heap = self.gm._pending_heap if secure else None
-        #: Optional :class:`repro.obs.events.EventTrace` for commit-path
-        #: (GM/SUF) events; attached via :meth:`attach_events`.
-        self.events = None
+        #: GhostMinion's two per-load actions, built once over the
+        #: collaborators above: ``speculative_load`` (``None`` without a
+        #: GM) and ``commit_load``.  Like the walks, they capture no
+        #: hierarchy.
+        if secure:
+            self.speculative_load = make_speculative_load(
+                self.gm, self.l1d, self._l1d_access,
+                max(self.gm.latency, params.l1d.latency))
+            self.commit_load = make_commit_load(
+                self.gm, self.l1d, self.l2, self.llc_front,
+                self._l1d_access, commit_filter, params.gm.latency)
+        else:
+            self.speculative_load = None
+            self.commit_load = _no_commit_action
 
     def attach_events(self, events) -> None:
         """Enable structured event tracing on every component.
@@ -127,7 +285,6 @@ class MemoryHierarchy:
         Shared levels (a multi-core LLC/DRAM) are attached too: their
         events then interleave all cores' traffic, which is the point.
         """
-        self.events = events
         for level in self.levels():
             level.events = events
         if self.gm is not None:
@@ -145,125 +302,9 @@ class MemoryHierarchy:
             completion, served = self._l1d_access(
                 block, time, REQ_LOAD, True, True, count_useful)
             return LoadResult(completion, served, False, completion - time)
-        return self._speculative_load(block, time, timestamp, count_useful)
-
-    def _speculative_load(self, block: int, time: int, timestamp: int,
-                          count_useful: bool) -> LoadResult:
-        gm = self.gm
-        heap = self._gm_heap
-        if heap and heap[0][0] <= time:
-            gm.apply_until(time)
-        gm_line = gm.lookup(block)
-        if gm_line is not None:
-            # GM hit (possibly still in flight).  The L1D is probed in
-            # parallel but provides nothing and updates nothing.  The GM
-            # array itself reads in 1 cycle, but load-to-use still goes
-            # through the normal load pipeline, so a GM hit is never faster
-            # than an L1D hit.
-            self.gm_stats.gm_hits += 1
-            self.l1d.probe(block, time, REQ_LOAD)
-            completion = max(time + self._gm_hit_latency, gm_line.fill_time)
-            return LoadResult(completion, LEVEL_L1D, True, completion - time)
-
-        # GM miss: walk the hierarchy invisibly; fill only the GM.
-        self.gm_stats.gm_misses += 1
-        completion, served = self._l1d_access(
-            block, time, REQ_LOAD, False, False, count_useful)
-        fetch_latency = completion - time
-        if served != LEVEL_L1D:
-            # L1D-provided data takes no GM entry: the L1D already holds the
-            # line, so commit will merely re-touch it (the redundant LRU
-            # update SUF filters).  Only data from L2/LLC/DRAM -- which the
-            # invisible walk did not install anywhere -- parks in the GM
-            # awaiting its on-commit write.
-            gm.fill(block, completion, timestamp, fetch_latency,
-                    not count_useful)
-        return LoadResult(completion, served, False, fetch_latency)
-
-    # ------------------------------------------------------------------
-    # commit path (secure mode)
-    # ------------------------------------------------------------------
-
-    def commit_load(self, block: int, time: int, hit_level: int) -> int:
-        """Perform GhostMinion's commit-time hierarchy update for a load.
-
-        ``hit_level`` is the 2-bit level recorded in the load-queue entry at
-        access time (Fig. 7, step 1).  With a SUF ``commit_filter``
-        installed, updates for L1D-provided data are dropped and writeback
-        propagation is truncated at the level below the provider (steps
-        2-4).
-
-        Returns the latency of the commit-time update -- the (misleading)
-        value a naive on-commit Berti observes as its "fetch latency"
-        (Section V-B).
-        """
-        if not self.secure:
-            return 0
-        stats = self.gm_stats
-        heap = self._gm_heap
-        if heap and heap[0][0] <= time:
-            self.gm.apply_until(time)
-        gm_line = self.gm.take(block)
-
-        if self.commit_filter is not None:
-            decision = self._filter_memo.get(hit_level)
-            if decision is None:
-                decision = self._filter_memo[hit_level] = \
-                    self.commit_filter(hit_level)
-        else:
-            decision = None
-        if decision is not None and decision.drop:
-            stats.commit_drops_suf += 1
-            if self._l1d_contains(block):
-                stats.suf_correct += 1
-            else:
-                stats.suf_mispredict += 1
-            if self.events is not None:
-                self.events.emit("suf_drop", time, block, "SUF")
-            return 0
-
-        if gm_line is not None:
-            # On-commit write: the line moves GM -> L1D.
-            stats.commit_writes += 1
-            if self.events is not None:
-                self.events.emit("gm_commit_write", time, block, "GM")
-            if decision is not None:
-                gm_propagate, wbb = decision.gm_propagate, decision.wbb
-                self._record_suf_stop(block, hit_level, time)
-            else:
-                gm_propagate, wbb = True, True
-            self._l1d_commit_write(block, time, gm_propagate, wbb)
-            return self._gm_latency
-
-        # The GM line was evicted before commit (or, for L1D-provided
-        # data, never existed): re-fetch into the non-speculative
-        # hierarchy (Fig. 2, flow 2b).
-        stats.commit_refetches += 1
-        if hit_level > LEVEL_L1D:
-            stats.gm_lost_before_commit += 1
-        if self.events is not None:
-            self.events.emit("gm_refetch", time, block, "GM")
-        completion, _ = self._l1d_access(block, time, REQ_COMMIT)
-        return completion - time
-
-    def _record_suf_stop(self, block: int, hit_level: int,
-                         time: int) -> None:
-        """Account a truncated propagation decision, made at commit
-        ``time``, and its correctness."""
-        stats = self.gm_stats
-        if hit_level == LEVEL_L2:
-            provider = self.l2
-        elif hit_level == LEVEL_LLC:
-            provider = self.llc_front
-        else:
-            return
-        stats.wb_stopped_suf += 1
-        if provider.contains(block):
-            stats.suf_correct += 1
-        else:
-            stats.suf_mispredict += 1
-        if self.events is not None:
-            self.events.emit("suf_stop", time, block, "SUF")
+        completion, served, gm_hit = self.speculative_load(
+            block, time, timestamp, count_useful)
+        return LoadResult(completion, served, gm_hit, completion - time)
 
     # ------------------------------------------------------------------
     # prefetch path

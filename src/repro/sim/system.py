@@ -40,15 +40,16 @@ The paper's two mechanisms hook into the commit path:
   training happens at commit.
 
 Performance note: there is one simulate loop, :meth:`System._stepper`.
-It runs over the trace's prescanned plan (:mod:`repro.sim.batch`) and,
-with the commit drain (:meth:`System._make_drainer`) and the prefetch
-issuer (:meth:`System._make_issuer`), inlines the per-load fast paths
-(speculative load, L1D plain hit, commit decision, X-LQ read, dTLB hit,
-prefetch drop checks) with all per-record state in locals.  The
-corresponding methods on :class:`~repro.sim.hierarchy.MemoryHierarchy`
-and :class:`~repro.sim.cpu.CoreModel` remain the readable reference
-implementations.  docs/PERFORMANCE.md has the inventory;
-tests/sim/test_golden_stats.py pins the statistics bit for bit.
+It runs over the trace's prescanned plan (:mod:`repro.sim.batch`) and
+makes one hierarchy call per load: GhostMinion's
+``MemoryHierarchy.speculative_load`` when secure, else the L1D walk.
+The commit drain (:meth:`System._make_drainer`) makes one
+``MemoryHierarchy.commit_load`` call per committed load.  The loop
+inlines the core model, the hit-level and X-LQ records, the dTLB hit
+and, through the prefetch issuer (:meth:`System._make_issuer`), the
+prefetch drop checks, with all per-record state in locals.
+docs/PERFORMANCE.md has the inventory; tests/sim/test_golden_stats.py
+pins the statistics bit for bit.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ from .delay import DelayOnMissPolicy
 from .hierarchy import MemoryHierarchy
 from .params import SystemParams, baseline
 from .stats import (CacheStats, CoreStats, DRAMStats, GhostMinionStats,
-                    REQ_COMMIT, REQ_LOAD, REQ_PREFETCH, REQ_STORE)
+                    REQ_LOAD, REQ_PREFETCH, REQ_STORE)
 from .tlb import TLBHierarchy, TLBStats
 
 #: Sentinel "sample threshold" used when interval sampling is disabled:
@@ -321,24 +322,18 @@ class System:
         boundary checks, flag tests, or address arithmetic.
 
         The inner loop is deliberately *flat*: the per-record core model
-        (dispatch / LQ / retire -- :class:`~repro.sim.cpu.CoreModel` is
-        the readable reference implementation) and the per-load pipeline
-        are inlined with their state held in local variables.  The
-        locals are written back to ``self.core`` at every yield, sample,
-        and warm-up reset, so external readers (``MulticoreSystem``'s
+        (dispatch / LQ / retire, inlined from
+        :class:`~repro.sim.cpu.CoreModel`) holds its state in local
+        variables, and each load makes one hierarchy call.  The locals
+        are written back to ``self.core`` at every yield, sample, and
+        warm-up reset, so external readers (``MulticoreSystem``'s
         ``current_cycle`` ordering, the interval sampler's occupancy
         probes, :meth:`finalize`) always observe coherent state.
 
         Committed and wrong-path loads run one pipeline.  ``wrong`` is
         tested only where a transient load behaves differently: the
         delay-on-miss squash, usefulness marking, the GM fill's transient
-        flag, the SUF / X-LQ / TS bookkeeping it skips, and retire.  The
-        L1D plain-hit arms replicate the hierarchy walk's entry plain-hit
-        arm (``flatwalk.make_flat_descent``); their guard,
-        ``fill_time <= issue_time + latency``, is conservative
-        (any load it accepts would be a plain hit under any port
-        schedule), so the full walk only runs for misses and in-flight
-        fills.
+        flag, the SUF / X-LQ / TS bookkeeping it skips, and retire.
         """
         plan = plan_for(trace)
         n = plan.n
@@ -381,8 +376,8 @@ class System:
         penalty = core_params.mispredict_penalty
         sample_at = sampler.next_at if sampler is not None else _NEVER
         #: ``seq`` of record ``j`` (0-based) is ``seq_base + j + 1``; it
-        #: is only consumed by the secure GM fill, so it is computed there
-        #: instead of being incremented per record.
+        #: is only consumed as a secure load's GM timestamp, so it is
+        #: computed there instead of being incremented per record.
         seq_base = self._seq
         pending_redirect = self._pending_redirect
 
@@ -414,41 +409,8 @@ class System:
         hierarchy = self.hierarchy
         secure = hierarchy.secure
         l1d_access = hierarchy._l1d_access
+        speculative_load = hierarchy.speculative_load
         l1d = hierarchy.l1d
-        if secure:
-            gm = hierarchy.gm
-            gm_apply = gm.apply_until
-            gm_fill = gm.fill
-            gm_heap = hierarchy._gm_heap
-            gm_stats = hierarchy.gm_stats
-            gm_hit_latency = hierarchy._gm_hit_latency
-            l1d_probe = l1d.probe
-            # GhostMinionCache.lookup (no time bound), inlined below: a
-            # resident-set probe falling back to the pending-fill dict.
-            gm_sets = gm.sets
-            gm_mask = gm._set_mask
-            gm_pending = gm._pending
-        # L1D plain-hit fast-path collaborators (see flatwalk; the
-        # inline below replicates the walk's entry plain-hit arm exactly
-        # and only fires when the guard proves that arm would be taken).
-        l1_sets = l1d.sets
-        l1_mask = l1d._set_mask
-        l1_latency = l1d._latency
-        l1_accesses = l1d._accesses
-        l1_hits = l1d._hits
-        l1_port_acquire = l1d._port_acquire
-        # Port-bucket fast path (see _PortBucket.acquire): with a free
-        # port at ``issue_time`` the charge is one dict store and the
-        # start cycle is ``issue_time`` itself, so the plain-hit arms
-        # below inline that case and only call ``acquire`` when the
-        # cycle is saturated (the walk-forward slow path).  The trim
-        # bookkeeping stays exact: ``_acquires`` is counted here too,
-        # and the occasional slow-path call runs the trim.
-        l1_port_bucket = l1d._ports
-        l1_port_counts = l1_port_bucket.counts
-        l1_port_n = l1_port_bucket.ports
-        l1_stats_all = l1d.stats
-        l1_level = l1d.level
         l1d_contains = l1d.contains
         tlb = self.tlb
         tlb_enabled = tlb._enabled
@@ -606,146 +568,31 @@ class System:
                             continue
                         issue_time = delay_policy.issue_time(issue_time,
                                                              l1d_hit)
-                    # Lateness/usefulness booleans are computed per arm:
-                    # the plain-hit fast paths below cannot change the
-                    # merge/useful counters (except the one bump they
-                    # perform themselves), so only the full-access arms
-                    # pay the four before/after stats reads.  A wrong-path
+                    # Lateness and usefulness are the load's deltas of the
+                    # L1D/L2 merge and usefulness counters.  A wrong-path
                     # load marks no prefetch useful (count_useful=False).
+                    if track:
+                        merged1_pre = l1_stats.demand_merged_into_prefetch
+                        useful1_pre = l1_stats.prefetches_useful
+                        merged2_pre = l2_stats.demand_merged_into_prefetch
+                        useful2_pre = l2_stats.prefetches_useful
                     if secure:
-                        # hierarchy._speculative_load, inlined.
-                        if gm_heap and gm_heap[0][0] <= issue_time:
-                            gm_apply(issue_time)
-                        gm_line = gm_sets[block & gm_mask].get(block)
-                        if gm_line is None:
-                            gm_line = gm_pending.get(block)
-                        if gm_line is not None:
-                            gm_stats.gm_hits += 1
-                            l1d_probe(block, issue_time, REQ_LOAD)
-                            completion = issue_time + gm_hit_latency
-                            fill_time = gm_line.fill_time
-                            if fill_time > completion:
-                                completion = fill_time
-                            hit_level = 0
-                            fetch_latency = completion - issue_time
-                            gm_hit = True
-                            if track:
-                                # A GM hit only probes the L1D tags: no
-                                # merge or usefulness change.
-                                late_l1 = late_l2 = False
-                                useful_l1 = useful_l2 = False
-                        else:
-                            gm_stats.gm_misses += 1
-                            line = l1_sets[block & l1_mask].get(block)
-                            if line is not None and line.fill_time \
-                                    <= issue_time + l1_latency:
-                                # Invisible-walk plain hit (update=False).
-                                l1_accesses[REQ_LOAD] += 1
-                                pc = l1_port_counts.get(issue_time, 0)
-                                if pc < l1_port_n:
-                                    l1_port_counts[issue_time] = pc + 1
-                                    l1_port_bucket._acquires += 1
-                                    completion = issue_time + l1_latency
-                                else:
-                                    completion = \
-                                        l1_port_acquire(issue_time) \
-                                        + l1_latency
-                                l1_hits[REQ_LOAD] += 1
-                                if line.prefetched and not wrong \
-                                        and not line.was_demand_hit:
-                                    line.was_demand_hit = True
-                                    l1_stats_all.prefetches_useful += 1
-                                    if l1d.events is not None:
-                                        l1d.events.emit(
-                                            "pf_use", issue_time, block,
-                                            l1d.name)
-                                    useful_l1 = True
-                                else:
-                                    useful_l1 = False
-                                late_l1 = late_l2 = useful_l2 = False
-                                hit_level = l1_level
-                            else:
-                                if track:
-                                    merged1_pre = \
-                                        l1_stats.demand_merged_into_prefetch
-                                    useful1_pre = l1_stats.prefetches_useful
-                                    merged2_pre = \
-                                        l2_stats.demand_merged_into_prefetch
-                                    useful2_pre = l2_stats.prefetches_useful
-                                completion, hit_level = l1d_access(
-                                    block, issue_time, REQ_LOAD, False,
-                                    False, not wrong)
-                                if track:
-                                    late_l1 = \
-                                        l1_stats.demand_merged_into_prefetch \
-                                        > merged1_pre
-                                    useful_l1 = l1_stats.prefetches_useful \
-                                        > useful1_pre
-                                    late_l2 = \
-                                        l2_stats.demand_merged_into_prefetch \
-                                        > merged2_pre
-                                    useful_l2 = l2_stats.prefetches_useful \
-                                        > useful2_pre
-                            fetch_latency = completion - issue_time
-                            gm_hit = False
-                            if hit_level != 0:
-                                # A wrong-path fill is transient.
-                                gm_fill(block, completion, seq_base + j + 1,
-                                        fetch_latency, wrong)
+                        # A wrong-path GM fill is transient.
+                        completion, hit_level, gm_hit = speculative_load(
+                            block, issue_time, seq_base + j + 1, not wrong)
                     else:
-                        line = l1_sets[block & l1_mask].get(block)
-                        if line is not None and line.fill_time \
-                                <= issue_time + l1_latency:
-                            # The walk's entry plain-hit arm, inlined.
-                            l1_accesses[REQ_LOAD] += 1
-                            pc = l1_port_counts.get(issue_time, 0)
-                            if pc < l1_port_n:
-                                l1_port_counts[issue_time] = pc + 1
-                                l1_port_bucket._acquires += 1
-                                completion = issue_time + l1_latency
-                            else:
-                                completion = \
-                                    l1_port_acquire(issue_time) + l1_latency
-                            l1_hits[REQ_LOAD] += 1
-                            line.last_touch = issue_time
-                            line.rrpv = 0
-                            if line.prefetched and not wrong \
-                                    and not line.was_demand_hit:
-                                line.was_demand_hit = True
-                                l1_stats_all.prefetches_useful += 1
-                                if l1d.events is not None:
-                                    l1d.events.emit(
-                                        "pf_use", issue_time, block,
-                                        l1d.name)
-                                useful_l1 = True
-                            else:
-                                useful_l1 = False
-                            late_l1 = late_l2 = useful_l2 = False
-                            hit_level = l1_level
-                        else:
-                            if track:
-                                merged1_pre = \
-                                    l1_stats.demand_merged_into_prefetch
-                                useful1_pre = l1_stats.prefetches_useful
-                                merged2_pre = \
-                                    l2_stats.demand_merged_into_prefetch
-                                useful2_pre = l2_stats.prefetches_useful
-                            completion, hit_level = l1d_access(
-                                block, issue_time, REQ_LOAD, True, True,
-                                not wrong)
-                            if track:
-                                late_l1 = \
-                                    l1_stats.demand_merged_into_prefetch \
-                                    > merged1_pre
-                                useful_l1 = l1_stats.prefetches_useful \
-                                    > useful1_pre
-                                late_l2 = \
-                                    l2_stats.demand_merged_into_prefetch \
-                                    > merged2_pre
-                                useful_l2 = l2_stats.prefetches_useful \
-                                    > useful2_pre
-                        fetch_latency = completion - issue_time
+                        completion, hit_level = l1d_access(
+                            block, issue_time, REQ_LOAD, True, True,
+                            not wrong)
                         gm_hit = False
+                    if track:
+                        late_l1 = l1_stats.demand_merged_into_prefetch \
+                            > merged1_pre
+                        useful_l1 = l1_stats.prefetches_useful > useful1_pre
+                        late_l2 = l2_stats.demand_merged_into_prefetch \
+                            > merged2_pre
+                        useful_l2 = l2_stats.prefetches_useful > useful2_pre
+                    fetch_latency = completion - issue_time
                     # CoreModel.lq_complete, inlined.
                     lq_append(completion)
                     slot = load_seq % lq_entries
@@ -836,8 +683,7 @@ class System:
                                 useful_l1, useful_l2) if track \
                             else _NO_PF_META
                         commit_append((retire_cycle, True,
-                                       (ips[j], block, hit_level,
-                                        issue_time, fetch_latency, slot,
+                                       (ips[j], block, hit_level, slot,
                                         meta)))
                         if retire_cycle < next_commit:
                             next_commit = retire_cycle
@@ -1011,7 +857,7 @@ class System:
         """Drain queued commit actions due at or before ``until``.
 
         Delegates to the cached closure from :meth:`_make_drainer`; the
-        stepper hoists that closure directly, so the ~20-collaborator
+        stepper hoists that closure directly, so the collaborator
         preamble runs once per system instead of once per drain call.
         """
         drainer = self._drainer
@@ -1025,6 +871,7 @@ class System:
         # A committed store walks the hierarchy from the L1D; its
         # completion is unused.
         store_access = hierarchy._l1d_access
+        commit_load = hierarchy.commit_load
         hit_levels = self.hit_levels
         has_hl = hit_levels is not None
         if has_hl:
@@ -1032,43 +879,22 @@ class System:
             hl_levels = hit_levels._levels
             hl_entries = hit_levels.lq_entries
         prefetcher = self.prefetcher
-        # hierarchy.commit_load collaborators, hoisted: the whole commit
-        # pipeline is inlined below (commit_load remains the readable
-        # reference and the public per-load API).
-        secure = hierarchy.secure
-        events = hierarchy.events
-        if secure:
-            gm_stats = hierarchy.gm_stats
-            gm_heap = hierarchy._gm_heap
-            gm_apply = hierarchy.gm.apply_until
-            # GhostMinionCache.take, inlined at the drain site: a
-            # resident-set pop falling back to the pending-fill dict.
-            gm_sets = hierarchy.gm.sets
-            gm_mask = hierarchy.gm._set_mask
-            gm_pending = hierarchy.gm._pending
-            commit_filter = hierarchy.commit_filter
-            filter_memo = hierarchy._filter_memo
-            l1d_contains = hierarchy._l1d_contains
-            l1d_commit_write = hierarchy._l1d_commit_write
-            l1d_access = hierarchy._l1d_access
-            gm_latency = hierarchy._gm_latency
-            record_suf_stop = hierarchy._record_suf_stop
-            refetch_batch = hierarchy._refetch_batch
-            # Naive on-commit training consumes each re-fetch completion
-            # inline (the misleading update latency of Section V-B).
-            # Batching would force its training tails behind the window,
-            # reordering prefetch issues against the next loads' GM
-            # bookkeeping -- a semantic change with nothing to show for
-            # it (windows average ~1.1 re-fetches).  That mode keeps the
-            # exact sequential per-block walk; batching applies when
-            # nothing reads the completion mid-window (no prefetcher,
-            # X-LQ training, on-access training).
-            if prefetcher is not None \
-                    and self.train_mode == MODE_ON_COMMIT \
-                    and not self.use_xlq:
-                refetch_batch = None
         train_commit = prefetcher is not None \
             and self.train_mode == MODE_ON_COMMIT
+        # A drained window's re-fetches resolve in one batched pass where
+        # the hierarchy has a resolver (GhostMinion without rand-llc).
+        # Naive on-commit training consumes each re-fetch completion
+        # inline (the misleading update latency of Section V-B).
+        # Batching would force its training tails behind the window,
+        # reordering prefetch issues against the next loads' GM
+        # bookkeeping -- a semantic change with nothing to show for it
+        # (windows average ~1.1 re-fetches).  That mode keeps the exact
+        # sequential per-block walk; batching applies when nothing reads
+        # the completion mid-window (no prefetcher, X-LQ training,
+        # on-access training).
+        refetch_batch = hierarchy._refetch_batch
+        if train_commit and not self.use_xlq:
+            refetch_batch = None
         if train_commit:
             train = prefetcher.train
             train_l1 = prefetcher.train_level == 0
@@ -1081,79 +907,25 @@ class System:
                 issue_requests = self._issuer = self._make_issuer()
             ts_feedback = self._ts_feedback
         tuple_new = tuple.__new__
+        # The window's re-fetches, collected by commit_load and emptied
+        # after each window: GhostMinion's timestamp ordering is applied
+        # per load as the window is collected, so deferring its re-fetch
+        # walks to one shared pass (see flatwalk.make_refetch_batch)
+        # keeps GM semantics exact while amortizing the descent and the
+        # DRAM bank bookkeeping over the window.
+        refetches = [] if refetch_batch is not None else None
 
         def drain(until: Optional[int]) -> None:
-            # The drained window's re-fetches, batched: GhostMinion's
-            # timestamp ordering is applied per load *before* the window
-            # is collected, so deferring the hierarchy walks to one
-            # shared pass (see flatwalk.make_refetch_batch) keeps GM
-            # semantics exact while amortizing the descent and the DRAM
-            # bank bookkeeping over the window.
-            refetch_pairs = None
             while queue and (until is None or queue[0][0] <= until):
                 t_ret, is_load, payload = queue.popleft()
                 if not is_load:
                     store_access(payload, t_ret, REQ_STORE)
                     continue
-                ip, block, hit_level, issue_time, fetch_latency, slot, meta = \
-                    payload
-                recorded_level = hl_levels[slot % hl_entries] \
-                    if has_hl else hit_level
-                # hierarchy.commit_load, inlined.
-                if not secure:
-                    update_latency = 0
-                else:
-                    if gm_heap and gm_heap[0][0] <= t_ret:
-                        gm_apply(t_ret)
-                    gm_line = gm_sets[block & gm_mask].pop(block, None)
-                    if gm_line is None:
-                        gm_line = gm_pending.pop(block, None)
-                    if commit_filter is not None:
-                        decision = filter_memo.get(recorded_level)
-                        if decision is None:
-                            decision = filter_memo[recorded_level] = \
-                                commit_filter(recorded_level)
-                    else:
-                        decision = None
-                    if decision is not None and decision.drop:
-                        gm_stats.commit_drops_suf += 1
-                        if l1d_contains(block):
-                            gm_stats.suf_correct += 1
-                        else:
-                            gm_stats.suf_mispredict += 1
-                        if events is not None:
-                            events.emit("suf_drop", t_ret, block, "SUF")
-                        update_latency = 0
-                    elif gm_line is not None:
-                        # On-commit write: the line moves GM -> L1D.
-                        gm_stats.commit_writes += 1
-                        if events is not None:
-                            events.emit("gm_commit_write", t_ret, block, "GM")
-                        if decision is not None:
-                            record_suf_stop(block, recorded_level, t_ret)
-                            l1d_commit_write(block, t_ret,
-                                             decision.gm_propagate,
-                                             decision.wbb)
-                        else:
-                            l1d_commit_write(block, t_ret, True, True)
-                        update_latency = gm_latency
-                    else:
-                        # GM line evicted before commit (or never existed):
-                        # re-fetch into the non-speculative hierarchy.
-                        gm_stats.commit_refetches += 1
-                        if recorded_level > 0:
-                            gm_stats.gm_lost_before_commit += 1
-                        if events is not None:
-                            events.emit("gm_refetch", t_ret, block, "GM")
-                        if refetch_batch is None:
-                            completion, _ = l1d_access(block, t_ret,
-                                                       REQ_COMMIT)
-                            update_latency = completion - t_ret
-                        else:
-                            if refetch_pairs is None:
-                                refetch_pairs = []
-                            refetch_pairs.append((block, t_ret))
-                            update_latency = 0
+                ip, block, hit_level, slot, meta = payload
+                update_latency = commit_load(
+                    block, t_ret,
+                    hl_levels[slot % hl_entries] if has_hl else hit_level,
+                    refetches)
                 if not train_commit:
                     continue
 
@@ -1191,8 +963,9 @@ class System:
                         prefetcher.note_demand(miss_l1, late_l1, useful_l1)
                     else:
                         prefetcher.note_demand(miss_l2, late_l2, useful_l2)
-            if refetch_pairs is not None:
-                refetch_batch(refetch_pairs)
+            if refetches:
+                refetch_batch(refetches)
+                refetches.clear()
         return drain
 
     def _make_issuer(self):
@@ -1203,20 +976,20 @@ class System:
         when the prefetcher triggered the line, even if the request was
         redundant by then.  The common outcome of a request is a *drop*
         -- line already resident, already in flight, PQ or MSHR full,
-        DRAM backlogged -- which the readable reference,
-        ``MemoryHierarchy.issue_prefetch``, pays two more call frames to
-        discover (``CacheLevel.issue_prefetch`` -> ``_drop_prefetch``).
-        The closure replicates that decision chain flat, charging the
-        same counters in the same order, and only calls into a walk
-        when a prefetch actually enters the memory system.  With event
-        tracing attached it loops over the reference instead, so
-        emission sites stay in one place.  The closure is stored on the
-        system, so it must not capture the system itself (or any of its
-        bound methods): that cycle would keep every finished system
-        alive until the cyclic collector runs.
+        DRAM backlogged -- which ``MemoryHierarchy.issue_prefetch``, the
+        per-request reference the tests compare against, pays two more
+        call frames to discover (``CacheLevel.issue_prefetch`` ->
+        ``_drop_prefetch``).  The closure replicates that decision chain
+        flat, charging the same counters and emitting the same
+        ``pf_drop``/``pf_issue`` events in the same order, and only
+        calls into a walk when a prefetch actually enters the memory
+        system.  It takes the levels' event traces as they are when it
+        is built.  The closure is stored on the system, so it must not
+        capture the system itself (or any of its bound methods): that
+        cycle would keep every finished system alive until the cyclic
+        collector runs.
         """
         hierarchy = self.hierarchy
-        hierarchy_issue = hierarchy.issue_prefetch
         dram = hierarchy.dram
         l1d = hierarchy.l1d
         l2 = hierarchy.l2
@@ -1224,6 +997,9 @@ class System:
         l1_stats = l1d.stats
         l2_stats = l2.stats
         llc_stats = llc.stats
+        l1_events = l1d.events
+        l2_events = l2.events
+        llc_events = llc.events
         l1_sets = l1d.sets
         l1_mask = l1d._set_mask
         l1_outstanding = l1d._outstanding
@@ -1236,8 +1012,11 @@ class System:
         l2_pq = l2._pq_times
         l2_mshr = l2._mshr_times
         l2_access = hierarchy._l2_access
-        # The L2's view of the LLC: under rand-llc the scrambling front.
-        llc_issue = hierarchy.llc_front.issue_prefetch
+        # The L2's view of the LLC: under rand-llc the scrambling front,
+        # whose block the LLC's events carry.
+        llc_front = hierarchy.llc_front
+        llc_issue = llc_front.issue_prefetch
+        llc_scramble = llc_front.scramble if llc_front is not llc else None
         llc_access = hierarchy._llc_access
         mshr_limit = hierarchy._l1d_mshrs
         classifier = self.classifier
@@ -1245,13 +1024,6 @@ class System:
             if classifier is not None else None
 
         def issue(requests, time):
-            if l1d.events is not None or l2.events is not None \
-                    or llc.events is not None:
-                for pf_block, fill_level in requests:
-                    if on_real is not None:
-                        on_real(pf_block, time)
-                    hierarchy_issue(pf_block, time, fill_level)
-                return
             # hierarchy.issue_prefetch, inlined.  Its DRAM backlog
             # throttle and L1D-MSHR demotion test read DRAM and MSHR state
             # that only a request entering the memory system changes (a
@@ -1280,10 +1052,19 @@ class System:
                     # fill level's drop counter.
                     if fill_level <= 0:
                         l1_stats.prefetches_dropped += 1
+                        if l1_events is not None:
+                            l1_events.emit("pf_drop", time, pf_block, "L1D")
                     elif fill_level == 1:
                         l2_stats.prefetches_dropped += 1
+                        if l2_events is not None:
+                            l2_events.emit("pf_drop", time, pf_block, "L2")
                     else:
                         llc_stats.prefetches_dropped += 1
+                        if llc_events is not None:
+                            if llc_scramble is not None:
+                                pf_block = llc_scramble(pf_block)
+                            llc_events.emit("pf_drop", time, pf_block,
+                                            "LLC")
                     continue
                 if fill_level <= 0:
                     if demote:
@@ -1295,9 +1076,14 @@ class System:
                         # their exact order (resident / in flight, PQ
                         # full, MSHRs full).
                         l1_stats.prefetches_dropped += 1
+                        if l1_events is not None:
+                            l1_events.emit("pf_drop", time, pf_block, "L1D")
                         continue
                     else:
                         l1_stats.prefetches_issued += 1
+                        if l1_events is not None:
+                            l1_events.emit("pf_issue", time, pf_block,
+                                           "L1D")
                         completion, _ = l1_access(
                             pf_block, time, REQ_PREFETCH, True, True)
                         del l1_pq[0]
@@ -1309,8 +1095,12 @@ class System:
                             or pf_block in l2_outstanding \
                             or l2_pq[0] > time or l2_mshr[0] > time:
                         l2_stats.prefetches_dropped += 1
+                        if l2_events is not None:
+                            l2_events.emit("pf_drop", time, pf_block, "L2")
                     else:
                         l2_stats.prefetches_issued += 1
+                        if l2_events is not None:
+                            l2_events.emit("pf_issue", time, pf_block, "L2")
                         completion, _ = l2_access(
                             pf_block, time, REQ_PREFETCH, True, True)
                         del l2_pq[0]

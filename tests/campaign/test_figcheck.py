@@ -124,3 +124,9 @@ class TestFigcheckCli:
         from repro.cli import main
         with pytest.raises(SystemExit, match="epsilon"):
             main(["figcheck", "--epsilon", value])
+
+    def test_unknown_scale_env_is_a_clean_error(self, monkeypatch):
+        from repro.cli import main
+        monkeypatch.setenv("REPRO_SCALE", "huge")
+        with pytest.raises(SystemExit, match="REPRO_SCALE='huge'"):
+            main(["figcheck", "--quiet"])

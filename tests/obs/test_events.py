@@ -159,7 +159,9 @@ IDENTITY_CONFIGS = {
 def test_event_counts_equal_their_counters(name, workload):
     """With no warm-up reset and no event lost from the ring, each kind
     counts what its stats counter counts, and a truncated propagation
-    (``suf_stop``) directly follows its on-commit write."""
+    (``suf_stop``) directly follows its on-commit write.  Under
+    GhostMinion, every committed load takes one commit action and every
+    load, wrong-path ones included, one GM lookup."""
     kwargs = dict(IDENTITY_CONFIGS[name])
     spec = kwargs.pop("prefetcher")
     kwargs["prefetcher"] = TSBPrefetcher() if spec == "tsb" \
@@ -186,3 +188,9 @@ def test_event_counts_equal_their_counters(name, workload):
     for previous, (kind, cycle, block, _unit) in zip(records, records[1:]):
         if kind == "suf_stop":
             assert previous[:3] == ("gm_commit_write", cycle, block)
+    if result.gm is not None:
+        core = result.core
+        assert gm.commit_writes + gm.commit_refetches \
+            + gm.commit_drops_suf == core.committed_loads
+        assert gm.gm_hits + gm.gm_misses \
+            == core.committed_loads + core.wrong_path_loads

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.timely import TimelyPrefetcher
+from repro.obs import ObsConfig
 from repro.prefetchers import (MODE_ON_ACCESS, MODE_ON_COMMIT,
                                make_prefetcher)
 from repro.prefetchers.base import Prefetcher, PrefetchRequest
@@ -349,7 +350,10 @@ class TestPrefetchIssuer:
     ``MemoryHierarchy.issue_prefetch``, evaluating its DRAM backlog
     throttle and L1D-MSHR demotion test once per call and again only
     after a request enters the memory system.  It must charge exactly
-    what the per-request reference charges."""
+    what the per-request reference charges and, with events attached,
+    emit the same events in the same order: drops (the DRAM-backlog
+    throttle's too, whose LLC event carries the scrambled block under
+    rand-llc) and issues."""
 
     @staticmethod
     def _state(system):
@@ -358,13 +362,24 @@ class TestPrefetchIssuer:
                 h.dram.stats.snapshot(), h.dram._bus_free,
                 h.dram._bus_free_low)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(calls=st.lists(st.tuples(
         st.integers(0, 40),
         st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 2)),
-                 max_size=24)), max_size=30))
-    def test_closure_matches_the_reference(self, calls):
-        flat, reference = System(), System()
+                 max_size=24)), max_size=30),
+        traced=st.booleans(), scramble=st.sampled_from([0, 0x5DEECE66D]),
+        backlogged=st.booleans())
+    def test_closure_matches_the_reference(self, calls, traced, scramble,
+                                           backlogged):
+        obs = ObsConfig(trace_events=traced, trace_capacity=1 << 16)
+        flat = System(obs=obs, llc_scramble=scramble)
+        reference = System(obs=obs, llc_scramble=scramble)
+        if backlogged:
+            # Saturate the low-priority DRAM lane, as a prefetch burst
+            # would.
+            for system in (flat, reference):
+                for i in range(100):
+                    system.hierarchy.dram.access(i * 4096, 0, False)
         issue = flat._make_issuer()
         time = 0
         for gap, requests in calls:
@@ -373,3 +388,5 @@ class TestPrefetchIssuer:
             for block, fill_level in requests:
                 reference.hierarchy.issue_prefetch(block, time, fill_level)
             assert self._state(flat) == self._state(reference)
+        if traced:
+            assert flat.events.events() == reference.events.events()
