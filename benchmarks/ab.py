@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """A/B the end-to-end benchmark: a base revision against the working tree.
 
-Checks BASE out into a temporary git worktree and, for each seed, runs
-each tree's own ``benchmarks/e2e/run.py``, appending its records to
+Extracts BASE with ``git archive``, and the working tree's tracked and
+unignored files (``git ls-files --cached --others --exclude-standard``),
+into two directories of one temporary directory, so both sides are clean
+checkouts and ``.git`` is left untouched.  For each seed it runs each
+tree's own ``benchmarks/e2e/run.py``, appending its records to
 ``DIR/base.json`` or ``DIR/change.json``: the base first on odd seeds,
 the working tree first on even ones.  A run that fails or is not
 ``"correct": true`` stops it with exit 1; otherwise it exits with the
 status of the working tree's ``run.py compare`` (1 if a row regressed).
 Each tree compiles into its own empty bytecode cache: a tree whose
 ``__pycache__`` is warm would otherwise skip compiling, which lowers its
-peak RSS by a megabyte or more against a fresh checkout.  The worktree
-is removed however the script ends, SIGTERM included.
+peak RSS by a megabyte or more against a fresh checkout.  The temporary
+directory is removed however the script ends, SIGTERM included.
 
     python3 benchmarks/ab.py BASE --out DIR [--workload W] [--seeds S ...]
 """
@@ -20,14 +23,49 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_PY = Path("benchmarks") / "e2e" / "run.py"
+
+
+def extract_base(revision: str, dest: Path) -> None:
+    """Write the files of ``revision`` to ``dest`` (``git archive``)."""
+    proc = subprocess.Popen(["git", "archive", "--format=tar", revision],
+                            cwd=ROOT, stdout=subprocess.PIPE)
+    readable = True
+    try:
+        with tarfile.open(fileobj=proc.stdout, mode="r|") as archive:
+            if hasattr(tarfile, "data_filter"):
+                archive.extractall(dest, filter="data")
+            else:  # Python without extraction filters (before 3.11.4)
+                archive.extractall(dest)
+    except tarfile.ReadError:   # git printed why, e.g. an unknown revision
+        readable = False
+    finally:
+        proc.stdout.close()
+        proc.wait()
+    if proc.returncode or not readable:
+        raise SystemExit(f"ab: cannot extract {revision}")
+
+
+def copy_working_tree(dest: Path) -> None:
+    """Copy the working tree's tracked and unignored files to ``dest``."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others",
+         "--exclude-standard"], cwd=ROOT, stdout=subprocess.PIPE, check=True)
+    for name in listed.stdout.decode().split("\0"):
+        source = ROOT / name
+        if name and source.is_file():   # a deleted tracked file is skipped
+            target = dest / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, target)
 
 
 def run(tree: Path, argv: list, pycache: Path) -> None:
@@ -66,21 +104,15 @@ def main() -> int:
     signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     workload = ["--workload", args.workload] if args.workload else []
     with tempfile.TemporaryDirectory(prefix="ab-") as tmp:
-        trees = {"base": Path(tmp) / "base", "change": ROOT}
-        add = ["git", "worktree", "add", "--detach", str(trees["base"]),
-               args.base]
-        if subprocess.run(add, cwd=ROOT).returncode:
-            raise SystemExit(f"ab: cannot check out {args.base}")
-        try:
-            for seed in args.seeds:
-                order = ("base", "change") if seed % 2 else ("change", "base")
-                for side in order:
-                    run(trees[side], ["--seed", str(seed), *workload,
-                                      "--out", str(out[side])],
-                        Path(tmp) / f"pycache-{side}")
-        finally:
-            subprocess.run(["git", "worktree", "remove", "--force",
-                            str(trees["base"])], cwd=ROOT)
+        trees = {"base": Path(tmp) / "base", "change": Path(tmp) / "change"}
+        extract_base(args.base, trees["base"])
+        copy_working_tree(trees["change"])
+        for seed in args.seeds:
+            order = ("base", "change") if seed % 2 else ("change", "base")
+            for side in order:
+                run(trees[side], ["--seed", str(seed), *workload,
+                                  "--out", str(out[side])],
+                    Path(tmp) / f"pycache-{side}")
     return subprocess.run([sys.executable, str(RUN_PY), "compare",
                            str(out["base"]), str(out["change"])],
                           cwd=ROOT).returncode

@@ -26,8 +26,10 @@ Workflow for a deliberate semantic change::
     repro figcheck --update     # re-pin after review (stamps provenance)
 
 The reference snapshot (campaigns/golden/figures_golden.json) carries a
-provenance header -- generator, tree commit, timestamp -- so a review
-can always tell which tree produced the pinned numbers.
+provenance header -- generator, tree commit, timestamp, model version --
+so a review can always tell which tree produced the pinned numbers.
+Re-pinning changed numbers needs a ``MODEL_VERSION`` bump
+(:func:`write_pinned`).
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
+
+from ..exec.store import MODEL_VERSION
 
 #: Default tolerance (see module docstring for the exact rule).
 EPSILON = 0.02
@@ -83,7 +87,31 @@ def provenance(generator: str) -> dict:
         "generated_at": datetime.now(timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "python": sys.version.split()[0],
+        "model_version": MODEL_VERSION,
     }
+
+
+def write_pinned(path: Path, doc: dict, generator: str) -> Path:
+    """Write ``doc`` to ``path`` as JSON under a provenance header.
+
+    Refuses, with ``ValueError``, to replace a file pinned under the
+    current ``MODEL_VERSION`` with different content: a change that
+    moves pinned numbers moves stored results too, so it must bump the
+    version, which makes the result store miss on them.
+    """
+    new = json.loads(json.dumps(doc, sort_keys=True))
+    if path.exists():
+        old = json.loads(path.read_text())
+        header = old.pop("provenance", None) or {}
+        if header.get("model_version") == MODEL_VERSION and old != new:
+            raise ValueError(
+                f"{path}: pinned content changed under model version "
+                f"{MODEL_VERSION}; bump repro.exec.store.MODEL_VERSION "
+                f"with the change that moved it")
+    new["provenance"] = provenance(generator)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(new, indent=2, sort_keys=True) + "\n")
+    return path
 
 
 def render_figures(scale: str = SCALE,
@@ -128,11 +156,7 @@ def snapshot(scale: str = SCALE,
 def write_snapshot(doc: dict, path: Optional[Path] = None) -> Path:
     if path is None:
         path = golden_path()
-    doc = dict(doc)
-    doc["provenance"] = provenance("repro figcheck --update")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return write_pinned(path, doc, "repro figcheck --update")
 
 
 def load_snapshot(path: Optional[Path] = None) -> dict:

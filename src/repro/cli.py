@@ -447,7 +447,10 @@ def cmd_figcheck(args) -> int:
         lambda name: print(f"  rendering {name} ...", file=sys.stderr))
     if args.update:
         doc = figcheck.snapshot(progress=progress)
-        path = figcheck.write_snapshot(doc)
+        try:
+            path = figcheck.write_snapshot(doc)
+        except ValueError as exc:
+            raise SystemExit(str(exc))
         print(f"pinned {len(doc['figures'])} figures -> {path}")
         return 0
     try:

@@ -1,8 +1,9 @@
 """Persistent content-addressed result store.
 
 Records are keyed by a stable SHA-256 over everything that determines a
-simulation's outcome -- the :class:`~repro.experiments.runner.Config`, a
-fingerprint of the trace's actual records, the experiment scale, and the
+simulation's outcome -- the simulation model's version, the
+:class:`~repro.experiments.runner.Config`, a fingerprint of the trace's
+actual records, the experiment scale, and the
 :class:`~repro.sim.params.SystemParams` digest -- so a result is reused iff
 the simulation it answers for would be bit-identical.
 
@@ -36,8 +37,18 @@ from typing import Any, Dict, Optional, Tuple
 
 from .faults import FaultPlan
 
-#: Bump when the record layout or key derivation changes.
+#: Bump when the record layout changes; a store stamped with another
+#: format is refused.
 FORMAT_VERSION = 1
+
+#: Version of the simulation model, part of every key.  Bump it with any
+#: change that moves a simulated result, so the records of older code
+#: miss instead of being served.  The golden snapshots and the figure
+#: snapshot record it, and re-pinning one of them with changed content
+#: under an unchanged version is refused
+#: (:func:`repro.campaign.figcheck.write_pinned`).
+#: 2: rand-llc keys the LLC's set index; its tags and DRAM stay physical.
+MODEL_VERSION = 2
 
 #: Set to ``1`` to fsync every record (and its directory) on write.
 #: Off by default: ``os.replace`` already guarantees a record is all-or-
@@ -135,6 +146,7 @@ def job_key(config, trace, scale, params) -> str:
     config_c, scale_c, params_d = _key_parts(config, scale, params)
     payload = {
         "format": FORMAT_VERSION,
+        "model": MODEL_VERSION,
         "config": config_c,
         "trace": trace_fingerprint(trace),
         "scale": scale_c,
@@ -154,6 +166,7 @@ def mix_job_key(config, traces, cores, scale, params) -> str:
     config_c, scale_c, params_d = _key_parts(config, scale, params)
     payload = {
         "format": FORMAT_VERSION,
+        "model": MODEL_VERSION,
         "kind": "mix",
         "config": config_c,
         "traces": [trace_fingerprint(trace) for trace in traces],

@@ -353,26 +353,24 @@ class ExperimentRunner:
     def _mitigation_knobs(self, config: Config) -> Tuple:
         """Resolve ``config.mitigation`` into constructor-level knobs.
 
-        Returns ``(params, delay, llc_scramble, wrap)`` where ``wrap``
-        transforms the prefetcher instance (the PREFENDER shim).  The
-        security module is imported lazily: configs without a mitigation
-        -- every pre-existing sweep -- never touch it.
+        Returns ``(params, delay, wrap)`` where ``wrap`` transforms the
+        prefetcher instance (the PREFENDER shim).  The security module is
+        imported lazily: configs without a mitigation -- every
+        pre-existing sweep -- never touch it.
         """
         if config.mitigation == "none":
-            return self.params, False, 0, None
-        from ..security.mitigations import (SCRAMBLE_SEED,
-                                            randomized_llc_params)
+            return self.params, False, None
         if config.mitigation == "delay":
-            return self.params, True, 0, None
+            return self.params, True, None
         if config.mitigation == "rand-llc":
-            return (randomized_llc_params(self.params), False,
-                    SCRAMBLE_SEED, None)
+            from ..security.mitigations import randomized_llc_params
+            return randomized_llc_params(self.params), False, None
         from ..security.prefender import AccessObfuscationShim
-        return self.params, False, 0, AccessObfuscationShim
+        return self.params, False, AccessObfuscationShim
 
     def build_system(self, config: Config) -> System:
         prefetcher = self.build_prefetcher(config.prefetcher)
-        params, delay, llc_scramble, wrap = self._mitigation_knobs(config)
+        params, delay, wrap = self._mitigation_knobs(config)
         if wrap is not None and prefetcher is not None:
             prefetcher = wrap(prefetcher)
         shadow = None
@@ -389,8 +387,7 @@ class ExperimentRunner:
                       suf=config.suf, delay_mitigation=delay,
                       prefetcher=prefetcher,
                       train_mode=config.mode, shadow=shadow,
-                      classify=config.classify,
-                      llc_scramble=llc_scramble, obs=obs,
+                      classify=config.classify, obs=obs,
                       label=config.label())
 
     def build_core_system(self, config: Config, **kw) -> System:
@@ -398,26 +395,25 @@ class ExperimentRunner:
 
         ``kw`` carries the shared LLC/DRAM (and params) from
         :class:`~repro.sim.multicore.MulticoreSystem`; the config's
-        mitigation knobs are applied per core, so e.g. every core's
-        hierarchy wraps the shared LLC with the same scramble key.
+        per-core mitigation knobs (delay-on-miss, the PREFENDER shim) are
+        applied here, and the shared LLC carries its own.
         """
         prefetcher = self.build_prefetcher(config.prefetcher)
-        _, delay, llc_scramble, wrap = self._mitigation_knobs(config)
+        _, delay, wrap = self._mitigation_knobs(config)
         if wrap is not None and prefetcher is not None:
             prefetcher = wrap(prefetcher)
         return System(secure=config.secure, suf=config.suf,
                       delay_mitigation=delay, prefetcher=prefetcher,
-                      train_mode=config.mode,
-                      llc_scramble=llc_scramble, **kw)
+                      train_mode=config.mode, **kw)
 
     def build_multicore_system(self, config: Config,
                                cores: int) -> MulticoreSystem:
         """Build a ``cores``-core system for ``config``.
 
         The shared LLC and DRAM take the config's mitigation params, as
-        :meth:`build_system`'s private ones do (``rand-llc`` switches the
-        LLC to random replacement); each core comes from
-        :meth:`build_core_system`.
+        :meth:`build_system`'s private ones do (``rand-llc`` keys the
+        LLC's set index and switches it to random replacement); each core
+        comes from :meth:`build_core_system`.
         """
         params = self._mitigation_knobs(config)[0]
 

@@ -16,10 +16,11 @@ added alongside this registry):
     parked in the GM, on-commit writes, and (``-suf``) the Secure Update
     Filter.  Prefetcher training moves to commit time.
 ``rand-llc``
-    Random-and-Safe-style randomized LLC (arXiv:2309.16172): a keyed
-    index scramble in front of the shared level
-    (:class:`repro.sim.cache.ScrambledBackend`) plus random-replacement
-    fill, defeating eviction-set construction for conflict channels.
+    Random-and-Safe-style randomized LLC (arXiv:2309.16172): the LLC
+    picks a line's set from a keyed hash of its block
+    (``CacheParams.keyed_index``) and fills with random replacement,
+    defeating eviction-set construction for conflict channels.  Tags and
+    the addresses DRAM sees stay physical.
 ``prefender``
     PREFENDER-style access obfuscation (arXiv:2307.06756): the active
     prefetcher is wrapped in
@@ -46,17 +47,12 @@ from ..sim.system import System
 from .prefender import AccessObfuscationShim
 
 __all__ = [
-    "Mitigation", "SCRAMBLE_SEED", "MITIGATION_MECHANISMS",
+    "Mitigation", "MITIGATION_MECHANISMS",
     "PAPER_MITIGATIONS", "mitigation_names", "make_mitigation",
     "is_registered", "register", "unregister", "describe",
     "randomized_llc_params", "attack_params", "build_attack_prefetcher",
     "build_attack_system", "core_factory",
 ]
-
-#: Fixed key for the ``rand-llc`` index scramble.  A real deployment
-#: re-keys periodically; a fixed key keeps every attack and golden run
-#: deterministic, which is what the bit-identity pins require.
-SCRAMBLE_SEED = 0x5DEECE66D
 
 #: The mechanism knob carried by ``Config.mitigation`` (experiment
 #: layer).  "none" covers nonsecure *and* the GhostMinion modes, whose
@@ -78,7 +74,7 @@ class Mitigation:
     train_mode: str = MODE_ON_ACCESS
     #: Delay-on-miss speculative-load policy.
     delay: bool = False
-    #: Keyed LLC index randomization + random-replacement fill.
+    #: Keyed LLC set index + random-replacement fill.
     scramble_llc: bool = False
     #: PREFENDER-style camouflage shim around the prefetcher.
     obfuscate: bool = False
@@ -204,8 +200,9 @@ PAPER_MITIGATIONS = ("nonsecure", "delay-on-miss", "ghostminion",
 # ----------------------------------------------------------------------
 
 def randomized_llc_params(params: SystemParams) -> SystemParams:
-    """Random-and-Safe fill: switch the LLC to random replacement."""
-    return replace(params, llc=replace(params.llc, replacement="random"))
+    """Random-and-Safe LLC: a keyed set index and random replacement."""
+    return replace(params, llc=replace(params.llc, replacement="random",
+                                       keyed_index=True))
 
 
 def attack_params(params: Optional[SystemParams] = None) -> SystemParams:
@@ -250,7 +247,6 @@ def build_attack_system(mitigation, prefetcher: Optional[str] = "ip-stride",
         delay_mitigation=mitigation.delay,
         prefetcher=build_attack_prefetcher(mitigation, prefetcher),
         train_mode=mitigation.train_mode,
-        llc_scramble=SCRAMBLE_SEED if mitigation.scramble_llc else 0,
         **system_kwargs)
 
 
@@ -258,7 +254,8 @@ def core_factory(mitigation, prefetcher: Optional[str] = "ip-stride"):
     """A per-core ``system_factory`` for :class:`MulticoreSystem`.
 
     Every core gets a fresh prefetcher instance hardened the same way;
-    the multicore driver supplies the shared LLC/DRAM.
+    the multicore driver supplies the shared LLC/DRAM, built from its
+    params (so ``rand-llc`` needs :func:`randomized_llc_params` there).
     """
     mitigation = make_mitigation(mitigation)
 
@@ -270,7 +267,6 @@ def core_factory(mitigation, prefetcher: Optional[str] = "ip-stride"):
             delay_mitigation=mitigation.delay,
             prefetcher=build_attack_prefetcher(mitigation, prefetcher),
             train_mode=mitigation.train_mode,
-            llc_scramble=SCRAMBLE_SEED if mitigation.scramble_llc else 0,
             shared_llc=shared_llc, shared_dram=shared_dram)
 
     return factory

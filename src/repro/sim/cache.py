@@ -3,7 +3,9 @@
 This is the workhorse substrate of the reproduction.  Each
 :class:`CacheLevel` models:
 
-* a set-associative array with LRU replacement;
+* a set-associative array with LRU replacement, whose set is the
+  block's low bits or, on a keyed level (the ``rand-llc`` LLC), a
+  keyed hash of the block;
 * a finite pool of MSHRs -- misses wait for a free MSHR, and the wait time is
   the mechanism behind the MSHR-pressure results of Section III-A;
 * finite tag/port bandwidth (``ports`` accesses per cycle);
@@ -53,6 +55,13 @@ LEVEL_LLC = 2
 LEVEL_DRAM = 3
 
 LEVEL_NAMES = ("L1D", "L2", "LLC", "DRAM")
+
+#: Key of the keyed set index (``CacheParams.keyed_index``).  A real
+#: deployment re-keys periodically; one fixed key keeps every attack and
+#: golden run deterministic.
+INDEX_KEY = 0x5DEECE66D
+
+_MASK64 = (1 << 64) - 1
 
 
 class Line:
@@ -157,6 +166,31 @@ class _SlotPool:
         return len(self.times) - bisect_right(self.times, time)
 
 
+class _KeyedSets(list):
+    """A keyed level's set array, subscripted by the block itself.
+
+    ``sets[block]`` is the set that a splitmix64 finalizer over ``block
+    ^ INDEX_KEY`` selects, as in the Random-and-Safe and CEASER caches:
+    an attacker who does not know the key cannot build an eviction set
+    for a chosen set.  The level keeps ``_set_mask = -1``, so every
+    ``sets[block & mask]`` site indexes through the hash unchanged,
+    while tags, in-flight entries, fills, writebacks and DRAM keep the
+    physical block.
+    """
+
+    __slots__ = ("_mask",)
+
+    def __init__(self, count: int) -> None:
+        super().__init__({} for _ in range(count))
+        self._mask = count - 1
+
+    def __getitem__(self, block: int) -> Dict[int, Line]:
+        z = (block ^ INDEX_KEY) & _MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return list.__getitem__(self, (z ^ (z >> 31)) & self._mask)
+
+
 class CacheLevel:
     """One level of the cache hierarchy."""
 
@@ -176,8 +210,12 @@ class CacheLevel:
                 f"unknown replacement policy {params.replacement!r}")
         self._policy = params.replacement
         self._victim_seed = 0x9E3779B9
-        self._set_mask = params.sets - 1
-        self.sets: List[Dict[int, Line]] = [{} for _ in range(params.sets)]
+        if params.keyed_index:
+            self._set_mask = -1
+            self.sets: List[Dict[int, Line]] = _KeyedSets(params.sets)
+        else:
+            self._set_mask = params.sets - 1
+            self.sets = [{} for _ in range(params.sets)]
         self._ports = _PortBucket(params.ports)
         self._mshrs = _SlotPool(params.mshrs)
         self._pq = _SlotPool(params.pq_entries)
@@ -461,61 +499,6 @@ class CacheLevel:
 
     def reset_stats(self) -> None:
         self.stats.reset()
-
-
-#: 64-bit mask for the scramble finalizer below.
-_MASK64 = (1 << 64) - 1
-
-
-class ScrambledBackend:
-    """Keyed block-address permutation in front of a cache level.
-
-    Models a randomized-index cache in the Random-and-Safe / CEASER
-    family: the level behind this adapter sees a keyed bijection of the
-    physical block address, so an attacker cannot construct an eviction
-    set for a chosen victim set without knowing the key.  The mapping is
-    a splitmix64-style finalizer over ``block ^ seed`` -- bijective on
-    64-bit values, so distinct blocks never alias and the level's
-    hit/miss behaviour is exact, just relocated.
-
-    The adapter fronts only the level it wraps (here: the LLC); upper
-    levels keep physical indexing, matching the deployments described in
-    the papers (randomization at the shared outer level where conflict
-    channels are mounted).  It exposes the ``receive_writeback`` /
-    ``issue_prefetch`` / ``contains`` duck type of :class:`CacheLevel`,
-    translating the block argument and passing everything else through
-    positionally (hot-path convention).  A walk that crosses it
-    translates the block itself (``flatwalk.make_flat_descent``).
-    """
-
-    __slots__ = ("level", "seed")
-
-    def __init__(self, level: "CacheLevel", seed: int) -> None:
-        if not seed:
-            raise ValueError("scramble seed must be non-zero")
-        self.level = level
-        self.seed = seed & _MASK64
-
-    def scramble(self, block: int) -> int:
-        """The keyed bijection: physical block -> scrambled block."""
-        z = (block ^ self.seed) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
-
-    def receive_writeback(self, block: int, time: int, dirty: bool = False,
-                          gm_propagate: bool = False,
-                          wbb: bool = False) -> None:
-        self.level.receive_writeback(self.scramble(block), time, dirty,
-                                     gm_propagate, wbb)
-
-    def issue_prefetch(self, block: int, time: int, walk) -> bool:
-        """Issue at the wrapped level; ``walk`` is rooted there and so
-        takes the scrambled block."""
-        return self.level.issue_prefetch(self.scramble(block), time, walk)
-
-    def contains(self, block: int, time: Optional[int] = None) -> bool:
-        return self.level.contains(self.scramble(block), time)
 
 
 class MemoryBackend:

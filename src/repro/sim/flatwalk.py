@@ -17,11 +17,10 @@ majority are L1D hits.  Deeper levels run a generic loop over per-level
 hoist tuples -- by then the call is a miss descent and the unpack is
 amortized by the MSHR/DRAM work.
 
-Below a rand-llc ``ScrambledBackend`` in the chain, the level behind it,
-its in-flight entries, its fills and DRAM see the scrambled block; the
-levels above keep the physical one.  With events attached, the walk
-emits ``pf_use`` at its plain hits; ``CacheLevel._merge``, ``insert``
-and ``_evict`` emit the rest.
+Every level and DRAM see the one physical block; a keyed LLC (rand-llc)
+hashes it into its set index inside its own ``sets`` array.  With events
+attached, the walk emits ``pf_use`` at its plain hits;
+``CacheLevel._merge``, ``insert`` and ``_evict`` emit the rest.
 """
 
 from __future__ import annotations
@@ -29,29 +28,26 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from typing import Tuple
 
-from .cache import LEVEL_DRAM, ScrambledBackend
+from .cache import LEVEL_DRAM
 from .stats import REQ_COMMIT, REQ_LOAD, REQ_PREFETCH, REQ_STORE
 
 
 def _hoist(lvl):
-    """A lower level's collaborators, led by its scramble (or ``None``)."""
-    scramble = None
-    if isinstance(lvl, ScrambledBackend):
-        scramble, lvl = lvl.scramble, lvl.level
-    return (scramble, lvl.sets, lvl._set_mask, lvl._port_counts,
-            lvl._port_n, lvl._ports, lvl._port_acquire, lvl._latency,
-            lvl._outstanding, lvl._mshr_times, lvl.stats, lvl._accesses,
-            lvl._hits, lvl._misses, lvl, lvl.level)
+    """A level's collaborators, in the walks' unpack order."""
+    return (lvl.sets, lvl._set_mask, lvl._port_counts, lvl._port_n,
+            lvl._ports, lvl._port_acquire, lvl._latency, lvl._outstanding,
+            lvl._mshr_times, lvl.stats, lvl._accesses, lvl._hits,
+            lvl._misses, lvl, lvl.level)
 
 
 def make_flat_descent(levels: Tuple, dram):
     """Build a one-frame walk of ``levels`` terminating in ``dram``.
 
-    ``levels[0]`` is the ``CacheLevel`` the walk is rooted at; a later
-    entry may be a ``ScrambledBackend``.  The walk returns
-    ``(completion_time, served_level)``.  ``update=False`` leaves
-    replacement state alone on hits, and ``fill=False`` installs nothing
-    (the data bypasses to the GM) but still claims MSHRs and ports.
+    ``levels[0]`` is the ``CacheLevel`` the walk is rooted at.  The walk
+    returns ``(completion_time, served_level)``.  ``update=False``
+    leaves replacement state alone on hits, and ``fill=False`` installs
+    nothing (the data bypasses to the GM) but still claims MSHRs and
+    ports.
     """
     lower = tuple(_hoist(lvl) for lvl in levels[1:])
     entry = levels[0]
@@ -143,15 +139,13 @@ def make_flat_descent(levels: Tuple, dram):
             alloc = start
         del e_mshr_times[0]
         pending = [(e_mshr_times, e_stats, e_outstanding, e_insert, time,
-                    start, block)]
+                    start)]
         t = alloc + e_latency
         # ------------------------------------------------- lower levels
         completion = served = None
-        for (scramble, sets, mask, counts, port_n, ports, port_acquire,
-             latency, outstanding, mshr_times, stats, accesses, hits,
-             misses, lvl_obj, lvl_num) in lower:
-            if scramble is not None:
-                block = scramble(block)
+        for (sets, mask, counts, port_n, ports, port_acquire, latency,
+             outstanding, mshr_times, stats, accesses, hits, misses,
+             lvl_obj, lvl_num) in lower:
             accesses[rtype] += 1
             pc = counts.get(t, 0)
             if pc < port_n:
@@ -207,22 +201,22 @@ def make_flat_descent(levels: Tuple, dram):
                 alloc = start
             del mshr_times[0]
             pending.append((mshr_times, stats, outstanding,
-                            lvl_obj.insert, t, start, block))
+                            lvl_obj.insert, t, start))
             t = alloc + latency
         else:
             completion = dram_access(block, t, demand)
             served = LEVEL_DRAM
-        # Unwind inner-first, each level with its own block: release the
-        # MSHR at the completion time, then install the line (fill) or
-        # leave the in-flight entry a later request merges with.
-        for (mshr_times, stats, outstanding, insert, arrival, start,
-             blk) in reversed(pending):
+        # Unwind inner-first: release the MSHR at the completion time,
+        # then install the line (fill) or leave the in-flight entry a
+        # later request merges with.
+        for (mshr_times, stats, outstanding, insert, arrival,
+             start) in reversed(pending):
             insort(mshr_times, completion)
             if fill:
-                insert(blk, completion, is_pf, is_store,
+                insert(block, completion, is_pf, is_store,
                        latency=completion - arrival)
             else:
-                outstanding[blk] = (completion, is_pf, start)
+                outstanding[block] = (completion, is_pf, start)
             if is_load:
                 stats.load_miss_latency_sum += completion - arrival
                 stats.load_miss_latency_count += 1
@@ -261,18 +255,28 @@ def make_refetch_batch(levels: Tuple, dram):
     timestamp-ordering invariants are untouched (the drain applies GM
     updates before collecting the window).
 
-    ``levels`` is a plain chain of ``CacheLevel`` objects: the batch
-    knows no scramble.  A commit re-fetch is no demand request, so the
-    batch emits no ``pf_use``; its other events come from ``_merge``
-    and ``insert``.
+    A DRAM-bound re-fetch holds one MSHR per level until the handoff.
+    When a window holds every slot of a level's pool, the DRAM-bound
+    re-fetches collected so far are handed off at that point, which
+    frees their slots, and the pass continues.
+
+    A commit re-fetch is no demand request, so the batch emits no
+    ``pf_use``; its other events come from ``_merge`` and ``insert``.
     """
-    hoists = tuple(
-        (lvl.sets, lvl._set_mask, lvl._port_counts, lvl._port_n,
-         lvl._ports, lvl._port_acquire, lvl._latency, lvl._outstanding,
-         lvl._mshr_times, lvl.stats, lvl._accesses, lvl._hits,
-         lvl._misses, lvl, lvl.level)
-        for lvl in levels)
+    hoists = tuple(_hoist(lvl) for lvl in levels)
     dram_batch = dram.access_batch
+
+    def handoff(dram_reqs, dram_pend, results):
+        completions = dram_batch(dram_reqs, False)
+        for (idx, block, pending), completion in zip(dram_pend,
+                                                     completions):
+            for mshr_times, insert, arrival in reversed(pending):
+                insort(mshr_times, completion)
+                insert(block, completion, False, False,
+                       latency=completion - arrival)
+            results[idx] = completion
+        dram_reqs.clear()
+        dram_pend.clear()
 
     def refetch_batch(pairs):
         results = [0] * len(pairs)
@@ -316,6 +320,10 @@ def make_refetch_batch(levels: Tuple, dram):
                             REQ_COMMIT, False, True, None)
                         break
                 misses[REQ_COMMIT] += 1
+                if not mshr_times:
+                    # Every slot is held by this window's DRAM-bound
+                    # re-fetches: hand them off to free the pool.
+                    handoff(dram_reqs, dram_pend, results)
                 free_at = mshr_times[0]
                 stats.mshr_occupancy_sum += \
                     len(mshr_times) - bisect_right(mshr_times, start)
@@ -340,14 +348,7 @@ def make_refetch_batch(levels: Tuple, dram):
                        latency=completion - arrival)
             results[idx] = completion
         if dram_reqs:
-            completions = dram_batch(dram_reqs, False)
-            for (idx, block, pending), completion in zip(dram_pend,
-                                                         completions):
-                for mshr_times, insert, arrival in reversed(pending):
-                    insort(mshr_times, completion)
-                    insert(block, completion, False, False,
-                           latency=completion - arrival)
-                results[idx] = completion
+            handoff(dram_reqs, dram_pend, results)
         return results
 
     return refetch_batch

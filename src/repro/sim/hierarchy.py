@@ -19,6 +19,11 @@ time (a non-secure load takes the L1D walk), and the commit drain calls
 ``MemoryHierarchy.commit_load`` at its commit time with the hit level the
 load recorded in its load-queue entry.  :meth:`MemoryHierarchy.demand_load`
 wraps the access in a :class:`LoadResult` for per-load callers.
+
+Every level, the walks, the commit and DRAM see the one physical block.
+The ``rand-llc`` LLC is a keyed level (``CacheParams.keyed_index``) that
+hashes the block into its set index inside its own set array, so nothing
+here knows about it.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from bisect import bisect_right
 from typing import NamedTuple
 
 from .cache import (CacheLevel, LEVEL_L1D, LEVEL_L2, LEVEL_LLC,
-                    MemoryBackend, ScrambledBackend)
+                    MemoryBackend)
 from .flatwalk import make_flat_descent, make_refetch_batch
 from .dram import DRAMChannel
 from .ghostminion import GhostMinionCache
@@ -106,7 +111,8 @@ def make_speculative_load(gm: GhostMinionCache, l1d: CacheLevel, walk,
 
 
 def make_commit_load(gm: GhostMinionCache, l1d: CacheLevel, l2: CacheLevel,
-                     llc_front, walk, commit_filter, write_latency: int):
+                     llc: CacheLevel, walk, commit_filter,
+                     write_latency: int):
     """Build GhostMinion's commit-time hierarchy update for one load.
 
     ``commit_load(block, time, hit_level, refetches=None)`` performs the
@@ -132,7 +138,7 @@ def make_commit_load(gm: GhostMinionCache, l1d: CacheLevel, l2: CacheLevel,
     l1d_contains = l1d.contains
     l1d_commit_write = l1d.commit_write
     # Where SUF truncates propagation: the provider below the L1D.
-    providers = {LEVEL_L2: l2.contains, LEVEL_LLC: llc_front.contains}
+    providers = {LEVEL_L2: l2.contains, LEVEL_LLC: llc.contains}
     # The filter's contract is a *pure* function of the 2-bit hit level
     # (repro.core.suf), so its four possible decisions are memoized.
     decisions = {}
@@ -212,8 +218,7 @@ class MemoryHierarchy:
 
     def __init__(self, params: SystemParams, *, secure: bool = False,
                  commit_filter=None, shared_llc: CacheLevel = None,
-                 shared_dram: DRAMChannel = None,
-                 llc_scramble: int = 0) -> None:
+                 shared_dram: DRAMChannel = None) -> None:
         if commit_filter is not None and not secure:
             raise ValueError("SUF only applies to a secure cache system")
         self.params = params
@@ -228,14 +233,7 @@ class MemoryHierarchy:
         backend = MemoryBackend(self.dram)
         self.llc = shared_llc if shared_llc is not None \
             else CacheLevel(params.llc, LEVEL_LLC, backend)
-        #: What the L2 sees below it: the LLC itself, or -- under the
-        #: ``rand-llc`` mitigation -- a keyed index-randomization adapter
-        #: in front of it (``repro.security.mitigations``).  Sharing a
-        #: multicore LLC composes: each core's hierarchy wraps the shared
-        #: level with the same seed, so the scramble stays coherent.
-        self.llc_front = ScrambledBackend(self.llc, llc_scramble) \
-            if llc_scramble else self.llc
-        self.l2 = CacheLevel(params.l2, LEVEL_L2, self.llc_front)
+        self.l2 = CacheLevel(params.l2, LEVEL_L2, self.llc)
         self.l1d = CacheLevel(params.l1d, LEVEL_L1D, self.l2)
 
         self.gm_stats = GhostMinionStats()
@@ -243,23 +241,18 @@ class MemoryHierarchy:
             else None
         #: The hierarchy walks (flatwalk.make_flat_descent) rooted at the
         #: L1D, the L2 and the LLC, one per prefetch fill level.  The
-        #: upper two cross ``llc_front``, so under rand-llc the LLC and
-        #: DRAM see the scrambled block; the LLC walk is entered by
-        #: ``llc_front.issue_prefetch``, which scrambles first.  The
         #: closures live here, never on the levels they walk: a level
         #: holding a closure over its own bound methods would be a
         #: reference cycle, and a finished system must be freed by
         #: refcounting alone.
         self._l1d_access = make_flat_descent(
-            (self.l1d, self.l2, self.llc_front), self.dram)
-        self._l2_access = make_flat_descent(
-            (self.l2, self.llc_front), self.dram)
+            (self.l1d, self.l2, self.llc), self.dram)
+        self._l2_access = make_flat_descent((self.l2, self.llc), self.dram)
         self._llc_access = make_flat_descent((self.llc,), self.dram)
-        #: Batched commit re-fetch resolver (see flatwalk); ``None`` when
-        #: the chain is scrambled and the drain must re-fetch per block.
+        #: Batched commit re-fetch resolver (see flatwalk); ``None``
+        #: without a GM.
         self._refetch_batch = make_refetch_batch(
-            (self.l1d, self.l2, self.llc), self.dram) \
-            if secure and self.llc_front is self.llc else None
+            (self.l1d, self.l2, self.llc), self.dram) if secure else None
         self._l1d_mshrs = params.l1d.mshrs
         #: Identity-stable alias of the L1D MSHR next-free times (the pool
         #: mutates the list in place); read by the prefetch-demotion check.
@@ -273,7 +266,7 @@ class MemoryHierarchy:
                 self.gm, self.l1d, self._l1d_access,
                 max(self.gm.latency, params.l1d.latency))
             self.commit_load = make_commit_load(
-                self.gm, self.l1d, self.l2, self.llc_front,
+                self.gm, self.l1d, self.l2, self.llc,
                 self._l1d_access, commit_filter, params.gm.latency)
         else:
             self.speculative_load = None
@@ -331,9 +324,6 @@ class MemoryHierarchy:
                 return self.l1d._drop_prefetch(block, time)
             if fill_level == LEVEL_L2:
                 return self.l2._drop_prefetch(block, time)
-            if self.llc_front is not self.llc:
-                # The LLC's events carry the block it sees: scrambled.
-                block = self.llc_front.scramble(block)
             return self.llc._drop_prefetch(block, time)
         if fill_level <= LEVEL_L1D:
             # Inline of l1d.mshr_occupancy: the pool list is sorted, so
@@ -348,7 +338,7 @@ class MemoryHierarchy:
                                                self._l1d_access)
         if fill_level == LEVEL_L2:
             return self.l2.issue_prefetch(block, time, self._l2_access)
-        return self.llc_front.issue_prefetch(block, time, self._llc_access)
+        return self.llc.issue_prefetch(block, time, self._llc_access)
 
     # ------------------------------------------------------------------
 

@@ -102,7 +102,7 @@ class MulticoreSystem:
         # One LLC bank per core in the paper; modelled as one shared cache
         # with aggregated capacity and per-bank port/MSHR counts scaled.
         # Every other field (ways, latency, line size, replacement
-        # policy) is the per-core bank's.
+        # policy, keyed index) is the per-core bank's.
         llc_params = params.llc
         shared_llc_params = replace(
             llc_params, size_kb=llc_params.size_kb * cores,

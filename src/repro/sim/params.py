@@ -55,6 +55,9 @@ class CacheParams:
     pq_entries: int = 16
     #: Replacement policy: "lru" (Table II), "srrip", or "random".
     replacement: str = "lru"
+    #: Pick the set from a keyed hash of the block instead of its low
+    #: bits (``repro.sim.cache.INDEX_KEY``; the ``rand-llc`` LLC).
+    keyed_index: bool = False
 
     @property
     def sets(self) -> int:

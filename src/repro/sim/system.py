@@ -49,7 +49,9 @@ inlines the core model, the hit-level and X-LQ records, the dTLB hit
 and, through the prefetch issuer (:meth:`System._make_issuer`), the
 prefetch drop checks, with all per-record state in locals.
 docs/PERFORMANCE.md has the inventory; tests/sim/test_golden_stats.py
-pins the statistics bit for bit.
+pins the statistics bit for bit.  The ``rand-llc`` LLC keys its set
+index inside its own set array (``CacheParams.keyed_index``), so neither
+the loop nor the issuer has a case for it.
 """
 
 from __future__ import annotations
@@ -182,7 +184,6 @@ class System:
                  shadow: Optional[Prefetcher] = None,
                  classify: bool = False,
                  shared_llc=None, shared_dram=None,
-                 llc_scramble: int = 0,
                  obs: Optional[ObsConfig] = None,
                  label: Optional[str] = None) -> None:
         if params is None:
@@ -201,17 +202,11 @@ class System:
             else None
         self.prefetcher = prefetcher
         self.train_mode = train_mode
-        #: Non-zero key enables the randomized-index LLC front
-        #: (:class:`~repro.sim.cache.ScrambledBackend`; the ``rand-llc``
-        #: mitigation).  Zero keeps the conventional hierarchy
-        #: bit-identical to every pinned configuration.
-        self.llc_scramble = llc_scramble
 
         self.hierarchy = MemoryHierarchy(
             params, secure=secure,
             commit_filter=suf_decide if suf else None,
-            shared_llc=shared_llc, shared_dram=shared_dram,
-            llc_scramble=llc_scramble)
+            shared_llc=shared_llc, shared_dram=shared_dram)
         self.core = CoreModel(params.core)
         self.core_stats = CoreStats()
         self.tlb = TLBHierarchy(params.tlb)
@@ -275,8 +270,6 @@ class System:
         parts = [pf, self.train_mode, system]
         if self.suf:
             parts.append("suf")
-        if self.llc_scramble:
-            parts.append("rand-llc")
         return "/".join(parts)
 
     # ------------------------------------------------------------------
@@ -882,7 +875,7 @@ class System:
         train_commit = prefetcher is not None \
             and self.train_mode == MODE_ON_COMMIT
         # A drained window's re-fetches resolve in one batched pass where
-        # the hierarchy has a resolver (GhostMinion without rand-llc).
+        # the hierarchy has a resolver (GhostMinion).
         # Naive on-commit training consumes each re-fetch completion
         # inline (the misleading update latency of Section V-B).
         # Batching would force its training tails behind the window,
@@ -1012,11 +1005,7 @@ class System:
         l2_pq = l2._pq_times
         l2_mshr = l2._mshr_times
         l2_access = hierarchy._l2_access
-        # The L2's view of the LLC: under rand-llc the scrambling front,
-        # whose block the LLC's events carry.
-        llc_front = hierarchy.llc_front
-        llc_issue = llc_front.issue_prefetch
-        llc_scramble = llc_front.scramble if llc_front is not llc else None
+        llc_issue = llc.issue_prefetch
         llc_access = hierarchy._llc_access
         mshr_limit = hierarchy._l1d_mshrs
         classifier = self.classifier
@@ -1061,10 +1050,7 @@ class System:
                     else:
                         llc_stats.prefetches_dropped += 1
                         if llc_events is not None:
-                            if llc_scramble is not None:
-                                pf_block = llc_scramble(pf_block)
-                            llc_events.emit("pf_drop", time, pf_block,
-                                            "LLC")
+                            llc_events.emit("pf_drop", time, pf_block, "LLC")
                     continue
                 if fill_level <= 0:
                     if demote:

@@ -14,6 +14,7 @@ from repro.campaign import figcheck
 from repro.campaign.figcheck import (EPSILON, compare, golden_path,
                                      load_snapshot, provenance,
                                      write_snapshot)
+from repro.exec.store import MODEL_VERSION
 
 
 def fig(rows, columns=("a", "b")):
@@ -86,6 +87,7 @@ class TestSnapshotPlumbing:
         assert header["generator"] == "repro figcheck --update"
         for key in ("git_commit", "generated_at", "python"):
             assert header[key]
+        assert header["model_version"] == MODEL_VERSION
 
     def test_load_missing_snapshot_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="--update"):
@@ -94,8 +96,55 @@ class TestSnapshotPlumbing:
     def test_provenance_keys(self):
         header = provenance("unit-test")
         assert set(header) == {"generator", "git_commit", "git_dirty",
-                               "generated_at", "python"}
+                               "generated_at", "python", "model_version"}
         assert header["generator"] == "unit-test"
+
+
+class TestRepinNeedsVersionBump:
+    """Changed pinned numbers under an unchanged ``MODEL_VERSION`` are
+    refused, so stored results of the old model cannot be served."""
+
+    DOC = {"scale": "tiny", "epsilon": EPSILON, "figures": REFERENCE}
+    MOVED = {"scale": "tiny", "epsilon": EPSILON,
+             "figures": {"fig1": fig({"base": [1.0, 2.5]})}}
+
+    def test_changed_content_refused(self, tmp_path):
+        path = write_snapshot(self.DOC, tmp_path / "snap.json")
+        before = path.read_text()
+        with pytest.raises(ValueError, match="MODEL_VERSION"):
+            write_snapshot(self.MOVED, path)
+        assert path.read_text() == before
+
+    def test_unchanged_content_repins(self, tmp_path):
+        path = write_snapshot(self.DOC, tmp_path / "snap.json")
+        write_snapshot(self.DOC, path)
+        assert load_snapshot(path)["figures"] == REFERENCE
+
+    def test_bumped_version_repins(self, tmp_path, monkeypatch):
+        path = write_snapshot(self.DOC, tmp_path / "snap.json")
+        monkeypatch.setattr(figcheck, "MODEL_VERSION", MODEL_VERSION + 1)
+        write_snapshot(self.MOVED, path)
+        loaded = load_snapshot(path)
+        assert loaded["figures"] == self.MOVED["figures"]
+        assert loaded["provenance"]["model_version"] == MODEL_VERSION + 1
+
+    def test_unversioned_file_repins(self, tmp_path):
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(self.DOC))
+        write_snapshot(self.MOVED, path)
+        assert load_snapshot(path)["figures"] == self.MOVED["figures"]
+
+    def test_cli_update_names_the_refusal(self, monkeypatch):
+        from repro.cli import main
+
+        def refuse(doc):
+            raise ValueError("pinned content changed under model version")
+
+        monkeypatch.setattr(figcheck, "snapshot",
+                            lambda progress=None: self.DOC)
+        monkeypatch.setattr(figcheck, "write_snapshot", refuse)
+        with pytest.raises(SystemExit, match="model version"):
+            main(["figcheck", "--update", "--quiet"])
 
 
 class TestCommittedSnapshot:

@@ -68,14 +68,14 @@ class TestMixSystemMitigations:
         # The cross-core-probe attack builds its system this way.
         assert mc.llc.params == MulticoreSystem(
             cores=2, params=randomized_llc_params(baseline())).llc.params
-        assert all(system.llc_scramble for system in mc.systems)
+        assert mc.llc.params.keyed_index
         assert all(system.hierarchy.llc is mc.llc for system in mc.systems)
 
     def test_lru_configs_keep_lru(self):
         runner = ExperimentRunner(scale=Scale("micro", 2000, 3, 1, 2))
         mc = runner.build_multicore_system(Config(), 2)
         assert mc.llc._policy == "lru"
-        assert not any(system.llc_scramble for system in mc.systems)
+        assert not mc.llc.params.keyed_index
 
     def test_execute_mix_job_applies_mitigation_params(self, monkeypatch):
         built = []

@@ -9,6 +9,8 @@ from repro.obs import (EVENT_KINDS, EVENT_UNITS, EventTrace, ObsConfig,
                        events_jsonl, validate_event)
 from repro.prefetchers.base import MODE_ON_COMMIT
 from repro.prefetchers.registry import make_prefetcher
+from repro.security.mitigations import randomized_llc_params
+from repro.sim.params import baseline
 from repro.sim.stats import GhostMinionStats
 from repro.sim.system import System
 from repro.workloads.spec import spec_trace
@@ -138,11 +140,12 @@ class TestSystemIntegration:
 
 #: ``System`` arguments (``prefetcher`` as a registry name or "tsb") that
 #: reach every prefetch-drop site -- resident or in flight, PQ or MSHRs
-#: full, the DRAM-backlog throttle, the rand-llc scramble -- and every
+#: full, the DRAM-backlog throttle, the rand-llc keyed LLC -- and every
 #: GhostMinion commit action, with and without SUF.
 IDENTITY_CONFIGS = {
     "berti-oa": {"prefetcher": "berti"},
-    "spp-randllc": {"prefetcher": "spp+ppf", "llc_scramble": 0x5DEECE66D},
+    "spp-randllc": {"prefetcher": "spp+ppf",
+                    "params": randomized_llc_params(baseline())},
     "berti-delay": {"prefetcher": "berti", "delay_mitigation": True},
     "berti-oc-gm": {"prefetcher": "berti", "secure": True,
                     "train_mode": MODE_ON_COMMIT},

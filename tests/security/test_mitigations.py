@@ -6,9 +6,11 @@ from repro.experiments.runner import (CONFIG_MITIGATIONS, SCALES, Config,
                                       ExperimentRunner)
 from repro.security.mitigations import (MITIGATION_MECHANISMS,
                                         PAPER_MITIGATIONS, Mitigation,
-                                        describe, is_registered,
-                                        make_mitigation, mitigation_names,
-                                        register, unregister)
+                                        build_attack_system, describe,
+                                        is_registered, make_mitigation,
+                                        mitigation_names, register,
+                                        unregister)
+from repro.workloads.synthetic import pointer_chase_trace, stream_trace
 
 
 class TestRegistry:
@@ -121,7 +123,7 @@ class TestRunnerKnobs:
         runner = ExperimentRunner(SCALES["tiny"])
         rand = runner.build_system(
             Config(prefetcher="ip-stride", mitigation="rand-llc"))
-        assert rand.llc_scramble
+        assert rand.hierarchy.llc.params.keyed_index
         assert rand.params.llc.replacement == "random"
         shim = runner.build_system(
             Config(prefetcher="ip-stride", mitigation="prefender"))
@@ -130,7 +132,7 @@ class TestRunnerKnobs:
             Config(prefetcher="ip-stride", mitigation="delay"))
         assert delay.delay_policy is not None
         plain = runner.build_system(Config(prefetcher="ip-stride"))
-        assert not plain.llc_scramble
+        assert not plain.hierarchy.llc.params.keyed_index
         assert plain.delay_policy is None
         assert plain.prefetcher.name == "ip-stride"
 
@@ -139,3 +141,23 @@ class TestRunnerKnobs:
         keys of every pre-existing config are unchanged."""
         assert Config().mitigation == "none"
         assert Config().label() == "none/OA/NS"
+
+
+class TestRandLLCKeysOnlyTheSetIndex:
+    """rand-llc hashes the LLC's set index; tags and the addresses DRAM
+    sees stay physical, so DRAM traffic and its row-buffer locality match
+    the plain LLC's."""
+
+    @pytest.mark.parametrize("make_trace", [stream_trace,
+                                            pointer_chase_trace],
+                             ids=["stream", "pointer-chase"])
+    def test_dram_row_hits_match_the_plain_llc(self, make_trace):
+        trace = make_trace("rowhit", 3000)
+        plain = build_attack_system("nonsecure", None).run(trace)
+        keyed = build_attack_system("rand-llc", None)
+        rand = keyed.run(trace)
+        assert keyed.hierarchy.llc.params.keyed_index
+        assert rand.dram.requests == plain.dram.requests
+        assert plain.dram.row_hit_rate() > 0.5
+        assert abs(rand.dram.row_hit_rate()
+                   - plain.dram.row_hit_rate()) <= 0.02

@@ -17,14 +17,16 @@ modeled-time pass): regenerate, eyeball the diff, run the figure-level
 tolerance check (``repro figcheck``), and commit the new snapshots
 together with the change that moved them.  Regenerating to silence an
 *unintended* drift is still a bug -- the provenance header makes that
-visible in review.
+visible in review.  A snapshot whose content changes also needs a
+``repro.exec.store.MODEL_VERSION`` bump: :func:`write_golden` refuses to
+re-pin changed numbers under the version they were pinned at.
 """
 
 import json
 import os
 from pathlib import Path
 
-from repro.campaign.figcheck import provenance
+from repro.campaign.figcheck import write_pinned
 from repro.core.tsb import TSBPrefetcher
 from repro.prefetchers.base import MODE_ON_ACCESS, MODE_ON_COMMIT
 from repro.prefetchers.registry import make_prefetcher
@@ -44,10 +46,7 @@ def regen_requested() -> bool:
 
 
 def write_golden(path: Path, doc: dict, generator: str) -> None:
-    doc = dict(doc)
-    doc["provenance"] = provenance(generator)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_pinned(path, doc, generator)
     print(f"wrote {path}")
 
 
@@ -69,7 +68,7 @@ def build_system(config: dict):
     ``config`` holds ``System`` keyword arguments, except that
     ``prefetcher`` is a registry name (or ``"tsb"``) and ``on_commit``
     selects the training mode.  Other keys pass through unchanged, so a
-    config may set any ``System`` argument, ``llc_scramble`` included.
+    config may set any ``System`` argument, ``params`` included.
     """
     kwargs = dict(config)
     spec = kwargs.pop("prefetcher", None)
@@ -88,5 +87,6 @@ def assert_provenance(golden: dict) -> None:
     header = golden.get("provenance")
     assert isinstance(header, dict), \
         "golden snapshot lacks a provenance header (regenerate it)"
-    for key in ("generator", "git_commit", "generated_at", "python"):
+    for key in ("generator", "git_commit", "generated_at", "python",
+                "model_version"):
         assert header.get(key), f"provenance header missing {key!r}"

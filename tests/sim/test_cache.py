@@ -12,10 +12,11 @@ from repro.sim.stats import REQ_COMMIT, REQ_LOAD, REQ_STORE
 
 
 def small_cache(ways=2, sets_kb=None, mshrs=4, ports=2, pq=4,
-                latency=5, next_level=None):
+                latency=5, next_level=None, keyed=False):
     """A 2-way, 8-set cache in front of a (fast) DRAM by default."""
     params = CacheParams(name="T", size_kb=1, ways=ways, latency=latency,
-                         mshrs=mshrs, ports=ports, pq_entries=pq)
+                         mshrs=mshrs, ports=ports, pq_entries=pq,
+                         keyed_index=keyed)
     if next_level is None:
         next_level = MemoryBackend(DRAMChannel(DRAMParams()))
     return CacheLevel(params, LEVEL_L1D, next_level)
@@ -301,6 +302,58 @@ class TestPortBucket:
         ports.acquire(0)
         ports.acquire(0)
         assert ports.acquire(0) == 3
+
+
+class _WritebackLog:
+    """A next level that records the blocks written back to it."""
+
+    def __init__(self):
+        self.blocks = []
+
+    def receive_writeback(self, block, time, dirty=False,
+                          gm_propagate=False, wbb=False):
+        self.blocks.append(block)
+
+
+class TestKeyedIndex:
+    """A keyed level hashes only the set index (the rand-llc LLC)."""
+
+    def test_blocks_sharing_low_bits_spread_over_sets(self):
+        plain, keyed = small_cache(), small_cache(keyed=True)
+        sets = plain.params.sets
+        blocks = [i * sets for i in range(2 * sets)]
+        for t, block in enumerate(blocks):
+            plain.insert(block, t)
+            keyed.insert(block, t)
+        # Unkeyed, every block maps to set 0 and only its two ways stay.
+        assert sum(1 for set_ in plain.sets if set_) == 1
+        assert sum(1 for set_ in keyed.sets if set_) > 1
+        assert keyed.stats.evictions < plain.stats.evictions
+
+    def test_tags_and_writebacks_stay_physical(self):
+        log = _WritebackLog()
+        cache = small_cache(keyed=True, next_level=log)
+        blocks = list(range(100, 164))
+        for t, block in enumerate(blocks):
+            cache.insert(block, t, dirty=True)
+        resident = [block for set_ in cache.sets for block in set_]
+        assert all(cache.contains(block) for block in resident)
+        assert sorted(resident + log.blocks) == blocks
+
+    def test_walk_hands_dram_the_physical_block(self):
+        dram = DRAMChannel(DRAMParams())
+        cache = small_cache(keyed=True, next_level=MemoryBackend(dram))
+        seen = []
+        access = dram.access
+
+        def spy(block, time, demand=True):
+            seen.append(block)
+            return access(block, time, demand)
+
+        dram.access = spy
+        walk(cache)(12345, 0, REQ_LOAD)
+        assert seen == [12345]
+        assert cache.contains(12345)
 
 
 class TestSignature:

@@ -25,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from repro.obs import ObsConfig
+from repro.security.mitigations import randomized_llc_params
+from repro.sim.params import baseline
 
 try:
     from .goldenlib import (assert_provenance, build_system, load_golden,
@@ -45,8 +47,8 @@ GOLDEN_WARMUP = 0.2
 #: the paper's full secure stack (GhostMinion + SUF + TSB on-commit).
 #: The last three pin how wrong-path loads reach the hierarchy: the
 #: delay-on-miss squash, transient GM fills with transient training and
-#: classification, and LLC-level prefetch fills behind the rand-llc
-#: index scramble.
+#: classification, and LLC-level prefetch fills in the rand-llc LLC
+#: (keyed set index, random replacement).
 CONFIGS = {
     "baseline": {},
     "berti_on_access": {"prefetcher": "berti"},
@@ -55,7 +57,8 @@ CONFIGS = {
     "delay_berti_oa": {"prefetcher": "berti", "delay_mitigation": True},
     "secure_berti_oa_classify": {"secure": True, "prefetcher": "berti",
                                  "classify": True},
-    "randllc_spp_oa": {"prefetcher": "spp", "llc_scramble": 0x5DEECE66D},
+    "randllc_spp_oa": {"prefetcher": "spp",
+                       "params": randomized_llc_params(baseline())},
 }
 
 #: Every config runs once more with events attached: tracing must leave
@@ -66,14 +69,16 @@ TRACED_OBS = ObsConfig(trace_events=True, trace_capacity=1 << 16)
 #: still took a separate recursive walk, so equal counts show that the
 #: one walk emits the same events; ``pf_drop`` since also counts the
 #: DRAM-backlog throttle's drops, which that walk did not emit.
+#: ``randllc_spp_oa`` was re-recorded when rand-llc became a keyed LLC
+#: set index in front of physically addressed DRAM.
 GOLDEN_EVENT_COUNTS = {
     "baseline": {"evict": 2293, "fill": 6371},
     "berti_on_access": {"evict": 2352, "fill": 6352, "pf_drop": 6339,
                         "pf_fill": 716, "pf_issue": 365, "pf_use": 24},
     "delay_berti_oa": {"evict": 2701, "fill": 2890, "pf_drop": 9575,
                        "pf_fill": 4215, "pf_issue": 2197, "pf_use": 1682},
-    "randllc_spp_oa": {"evict": 2292, "fill": 5951, "pf_drop": 12154,
-                       "pf_fill": 684, "pf_issue": 396, "pf_use": 226},
+    "randllc_spp_oa": {"evict": 2293, "fill": 6022, "pf_drop": 12222,
+                       "pf_fill": 575, "pf_issue": 321, "pf_use": 187},
     "secure_berti_oa_classify": {
         "evict": 2244, "fill": 4461, "gm_commit_write": 2652,
         "gm_drop": 223, "gm_fill": 2946, "gm_refetch": 3348,
@@ -123,6 +128,13 @@ def test_golden_header_matches_pins():
 
 def test_golden_carries_provenance():
     assert_provenance(_load_golden())
+
+
+def test_regenerating_moved_numbers_needs_a_version_bump(tmp_path):
+    path = tmp_path / "golden.json"
+    write_golden(path, {"configs": {"a": {"cycles": 1}}}, "unit-test")
+    with pytest.raises(ValueError, match="MODEL_VERSION"):
+        write_golden(path, {"configs": {"a": {"cycles": 2}}}, "unit-test")
 
 
 @pytest.mark.parametrize("name, obs", [

@@ -9,6 +9,8 @@ from repro.obs import ObsConfig
 from repro.prefetchers import (MODE_ON_ACCESS, MODE_ON_COMMIT,
                                make_prefetcher)
 from repro.prefetchers.base import Prefetcher, PrefetchRequest
+from repro.security.mitigations import randomized_llc_params
+from repro.sim.params import baseline
 from repro.sim.system import System
 from repro.workloads.synthetic import pointer_chase_trace
 from repro.workloads.trace import (FLAG_BRANCH, FLAG_LOAD, FLAG_MISPREDICT,
@@ -352,8 +354,7 @@ class TestPrefetchIssuer:
     after a request enters the memory system.  It must charge exactly
     what the per-request reference charges and, with events attached,
     emit the same events in the same order: drops (the DRAM-backlog
-    throttle's too, whose LLC event carries the scrambled block under
-    rand-llc) and issues."""
+    throttle's too) and issues, also into the rand-llc keyed LLC."""
 
     @staticmethod
     def _state(system):
@@ -367,13 +368,14 @@ class TestPrefetchIssuer:
         st.integers(0, 40),
         st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 2)),
                  max_size=24)), max_size=30),
-        traced=st.booleans(), scramble=st.sampled_from([0, 0x5DEECE66D]),
+        traced=st.booleans(), keyed=st.booleans(),
         backlogged=st.booleans())
-    def test_closure_matches_the_reference(self, calls, traced, scramble,
+    def test_closure_matches_the_reference(self, calls, traced, keyed,
                                            backlogged):
         obs = ObsConfig(trace_events=traced, trace_capacity=1 << 16)
-        flat = System(obs=obs, llc_scramble=scramble)
-        reference = System(obs=obs, llc_scramble=scramble)
+        params = randomized_llc_params(baseline()) if keyed else None
+        flat = System(params, obs=obs)
+        reference = System(params, obs=obs)
         if backlogged:
             # Saturate the low-priority DRAM lane, as a prefetch burst
             # would.
