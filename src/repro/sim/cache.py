@@ -9,7 +9,7 @@ This is the workhorse substrate of the reproduction.  Each
 * a finite pool of MSHRs -- misses wait for a free MSHR, and the wait time is
   the mechanism behind the MSHR-pressure results of Section III-A;
 * finite tag/port bandwidth (``ports`` accesses per cycle);
-* a prefetch queue (PQ) bounding in-flight prefetches, with drops when full;
+* a prefetch queue (PQ) bounding in-flight prefetches;
 * in-flight fills: a block inserted with a future ``fill_time`` services
   later requests only once the data has actually arrived (requests arriving
   earlier merge, which is how classic *late prefetches* are detected).
@@ -21,7 +21,9 @@ The simulator guarantees requests are generated in (near) non-decreasing
 time order, so next-free bookkeeping for ports, MSHRs, and the PQ models
 contention faithfully.  This module holds each level's state and the
 operations one level performs alone: merges, fills, evictions,
-writebacks, commit writes and the prefetch queue.
+writebacks and commit writes.  A level does not issue prefetches: the
+hierarchy's one issuer (:func:`repro.sim.hierarchy.make_prefetch_issuer`)
+reads its tags, in-flight entries, PQ and MSHRs to decide each drop.
 
 Where the secure pipeline touches this module: a speculative load under
 GhostMinion walks the hierarchy with ``update=False, fill=False`` (the
@@ -41,12 +43,10 @@ golden-stats tests pin bit-identical counters.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
 from typing import Dict, List, Optional, Tuple
 
 from .params import CacheParams
-from .stats import (CacheStats, REQ_COMMIT, REQ_LOAD, REQ_PREFETCH,
-                    REQ_WRITEBACK)
+from .stats import CacheStats, REQ_COMMIT, REQ_LOAD, REQ_WRITEBACK
 
 #: Hierarchy levels used for SUF hit-level encoding (Section IV).
 LEVEL_L1D = 0
@@ -143,29 +143,6 @@ class _PortBucket:
         return time
 
 
-class _SlotPool:
-    """A pool of N resources tracked by next-free times, kept *sorted*.
-
-    Used for MSHRs and PQ entries.  Slots are interchangeable, so the
-    pool is really a multiset of next-free times: allocation removes the
-    minimum (``times[0]``) and inserts the new release time with
-    ``insort``.  Keeping the list ascending turns the three O(N) scans
-    the old flat-list version paid per allocation (``min`` + ``index`` +
-    busy-count) into one O(1) head read plus one ``bisect``; the shared
-    multi-core LLC, whose pools are four times the single-core size,
-    is the main beneficiary.
-    """
-
-    __slots__ = ("times",)
-
-    def __init__(self, size: int) -> None:
-        self.times: List[int] = [0] * size
-
-    def occupancy(self, time: int) -> int:
-        """Number of slots busy at ``time`` (next-free strictly later)."""
-        return len(self.times) - bisect_right(self.times, time)
-
-
 class _KeyedSets(list):
     """A keyed level's set array, subscripted by the block itself.
 
@@ -217,8 +194,15 @@ class CacheLevel:
             self._set_mask = params.sets - 1
             self.sets = [{} for _ in range(params.sets)]
         self._ports = _PortBucket(params.ports)
-        self._mshrs = _SlotPool(params.mshrs)
-        self._pq = _SlotPool(params.pq_entries)
+        # The MSHRs and the prefetch queue: each a pool of interchangeable
+        # slots, kept as the *sorted* list of their next-free times.  A
+        # miss or an issued prefetch takes the head (the earliest free
+        # slot, so "is one free at t?" is ``times[0] <= t``) and
+        # ``insort``s its release time; the slots busy at ``t`` are
+        # ``len(times) - bisect_right(times, t)``.  The walks and the
+        # prefetch issuer mutate these lists in place, never rebind them.
+        self._mshr_times: List[int] = [0] * params.mshrs
+        self._pq_times: List[int] = [0] * params.pq_entries
         self._outstanding: Dict[int, _MSHREntry] = {}
         # Hot-path hoists, read once by every walk built over this level
         # (flatwalk): immutable params read on every access, and the
@@ -234,10 +218,6 @@ class CacheLevel:
         # walk-forward method call.
         self._port_counts = self._ports.counts
         self._port_n = params.ports
-        # Identity-stable aliases of the pools' next-free-time lists (the
-        # pools mutate them in place, never rebind).
-        self._mshr_times = self._mshrs.times
-        self._pq_times = self._pq.times
         # Identity-stable aliases of the per-request-type counter dicts:
         # ``stats`` is never rebound and ``StatsStruct.reset`` zeroes the
         # dicts in place, so one attribute hop per bump is saved on the
@@ -445,57 +425,6 @@ class CacheLevel:
             line.wbb = line.wbb or wbb
             return
         self.insert(block, time, False, False, gm_propagate, wbb)
-
-    # ------------------------------------------------------------------
-    # prefetch queue
-    # ------------------------------------------------------------------
-
-    def issue_prefetch(self, block: int, time: int, walk) -> bool:
-        """Issue one prefetch request at this level.
-
-        ``walk`` is the hierarchy walk rooted at this level
-        (``MemoryHierarchy`` builds one per prefetch fill level).  Returns
-        ``True`` when the request entered the memory system (counted as
-        issued), ``False`` when it was dropped (already present, in
-        flight, or PQ full).
-        """
-        if block in self.sets[block & self._set_mask] \
-                or block in self._outstanding:
-            return self._drop_prefetch(block, time)
-        # Sorted pools: both availability checks are head reads.
-        pq_times = self._pq_times
-        if pq_times[0] > time:
-            return self._drop_prefetch(block, time)
-        # Hardware drops prefetches rather than letting them queue for an
-        # MSHR ahead of demand misses (the functional MSHR model would
-        # otherwise let a prefetch reserve a future slot).
-        if self._mshr_times[0] > time:
-            return self._drop_prefetch(block, time)
-        self.stats.prefetches_issued += 1
-        if self.events is not None:
-            self.events.emit("pf_issue", time, block, self.name)
-        completion, _ = walk(block, time, REQ_PREFETCH)
-        # The walk never touches the PQ, so the head is still the slot
-        # this prefetch claimed.
-        del pq_times[0]
-        insort(pq_times, completion)
-        return True
-
-    def _drop_prefetch(self, block: int, time: int) -> bool:
-        self.stats.prefetches_dropped += 1
-        if self.events is not None:
-            self.events.emit("pf_drop", time, block, self.name)
-        return False
-
-    # ------------------------------------------------------------------
-    # resource pools
-    # ------------------------------------------------------------------
-
-    def mshr_occupancy(self, time: int) -> int:
-        """MSHRs busy at ``time`` (prefetch orchestration reads this)."""
-        return self._mshrs.occupancy(time)
-
-    # ------------------------------------------------------------------
 
     def reset_stats(self) -> None:
         self.stats.reset()

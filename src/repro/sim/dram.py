@@ -20,7 +20,7 @@ hits.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .params import DRAMParams
 from .stats import DRAMStats
@@ -47,18 +47,23 @@ class DRAMChannel:
         #: Shared data bus, same two-priority split.
         self._bus_free = 0
         self._bus_free_low = 0
-        #: Furthest-scheduled low-priority completion (backpressure signal).
-        self._low_horizon = 0
-        # Hot-path hoists: ``access`` and ``backlogged`` run once per
-        # DRAM-bound request / prefetch issue, so the fixed timing sums and
-        # the throttle margin are folded once here instead of re-derived
-        # from params on every call.
+        # Hot-path hoists: ``access`` runs once per DRAM-bound request,
+        # so the fixed timing sums are folded once here instead of
+        # re-derived from params on every call.
         self._ctrl_latency = params.controller_latency
         self._t_row_hit = params.t_cas
         self._t_row_miss = params.t_rp + params.t_rcd + params.t_cas
         self._bus_cycles = params.bus_cycles_per_line
         self._banks = params.banks
-        #: One uncontended row-miss service (see :meth:`backlogged`).
+        #: The prefetch throttle's terms, read by the hierarchy's prefetch
+        #: issuer (``hierarchy.make_prefetch_issuer``): prefetches are
+        #: dropped while the low-priority bus runs more than
+        #: ``_backlog_margin`` cycles beyond both the demand bus and one
+        #: uncontended row-miss service (``_service``) from now.  That
+        #: backlog is what a demand merging with an in-flight prefetch
+        #: inherits, so the margin also bounds the worst late-prefetch
+        #: penalty; a single in-flight prefetch is never backlog, and
+        #: demand queueing does not count against prefetching.
         self._service = (params.controller_latency + params.t_rp
                          + params.t_rcd + params.t_cas
                          + params.bus_cycles_per_line)
@@ -69,12 +74,6 @@ class DRAMChannel:
         #: probe wins.  Bounded by the trace footprint; cleared never --
         #: the mapping is pure.
         self._bank_memo: dict = {}
-
-    def low_backlog(self, time: int) -> int:
-        """Cycles of low-priority bus backlog beyond the demand bus and
-        ``time`` -- the same signal :meth:`backlogged` thresholds, exposed
-        raw for the interval sampler and CLI metric dumps."""
-        return max(0, self._bus_free_low - max(self._bus_free, time))
 
     def access(self, block: int, time: int, demand: bool = True) -> int:
         """Serve one 64-byte line request; return the delivery cycle.
@@ -199,24 +198,6 @@ class DRAMChannel:
         stats.row_misses += row_misses
         stats.requests += len(completions)
         return completions
-
-    def backlogged(self, time: int, margin: Optional[int] = None) -> bool:
-        """True when the low-priority queue is deep enough that further
-        prefetches would arrive uselessly late (prefetch throttling).
-
-        The signal is the low-priority bus backlog *beyond* the demand bus
-        and current time -- queueing a prefetch inherited from demand
-        traffic does not count against prefetching.  Demands that merge
-        with an in-flight prefetch inherit its queueing delay, so bounding
-        this backlog also bounds the worst late-prefetch penalty a demand
-        can see.
-        """
-        if margin is None:
-            margin = self._backlog_margin
-        # One uncontended row-miss service: a single in-flight prefetch is
-        # not backlog, however idle the channel is.
-        reference = max(self._bus_free, time + self._service)
-        return self._bus_free_low - reference > margin
 
     def reset_stats(self) -> None:
         self.stats.reset()

@@ -118,10 +118,11 @@ def make_flat_descent(levels: Tuple, dram):
                                rtype,
                                rtype is REQ_LOAD or rtype is REQ_STORE,
                                count_useful, None)
-        # True miss at the entry level: claim an MSHR (the sorted pool's
-        # head, see _SlotPool) and take the generic descent below.  The
-        # slot stays popped until the unwind inserts its fill time; the
-        # descent between cannot observe the one-short pool.
+        # True miss at the entry level: claim an MSHR (the head of the
+        # sorted ``_mshr_times``, see CacheLevel) and take the generic
+        # descent below.  The slot stays popped until the unwind inserts
+        # its fill time; the descent between cannot observe the
+        # one-short pool.
         demand = rtype is REQ_LOAD or rtype is REQ_STORE
         is_store = rtype is REQ_STORE
         is_load = rtype is REQ_LOAD

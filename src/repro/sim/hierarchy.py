@@ -20,6 +20,14 @@ time (a non-secure load takes the L1D walk), and the commit drain calls
 load recorded in its load-queue entry.  :meth:`MemoryHierarchy.demand_load`
 wraps the access in a :class:`LoadResult` for per-load callers.
 
+The prefetch path has one implementation too, the issuer that
+:func:`make_prefetch_issuer` builds: the DRAM-backlog throttle, Berti's
+L1D-MSHR demotion, then the drop checks of the level a request fills.
+The simulate loop and the commit drain call
+``MemoryHierarchy.issue_prefetches`` with each prefetcher's request
+list (through ``System._make_issuer``);
+:meth:`MemoryHierarchy.issue_prefetch` sends it one request.
+
 Every level, the walks, the commit and DRAM see the one physical block.
 The ``rand-llc`` LLC is a keyed level (``CacheParams.keyed_index``) that
 hashes the block into its set index inside its own set array, so nothing
@@ -28,7 +36,7 @@ here knows about it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from typing import NamedTuple
 
 from .cache import (CacheLevel, LEVEL_L1D, LEVEL_L2, LEVEL_LLC,
@@ -37,7 +45,7 @@ from .flatwalk import make_flat_descent, make_refetch_batch
 from .dram import DRAMChannel
 from .ghostminion import GhostMinionCache
 from .params import SystemParams
-from .stats import GhostMinionStats, REQ_COMMIT, REQ_LOAD
+from .stats import GhostMinionStats, REQ_COMMIT, REQ_LOAD, REQ_PREFETCH
 
 
 class LoadResult(NamedTuple):
@@ -207,6 +215,127 @@ def make_commit_load(gm: GhostMinionCache, l1d: CacheLevel, l2: CacheLevel,
     return commit_load
 
 
+def make_prefetch_issuer(l1d: CacheLevel, l2: CacheLevel, llc: CacheLevel,
+                         dram: DRAMChannel, walks):
+    """Build the prefetch issuer: ``issue(requests, time)``.
+
+    ``requests`` is a prefetcher's ``[(block, fill_level), ...]`` and
+    ``walks`` holds the descents rooted at the L1D, the L2 and the LLC.
+    Each request meets, in order:
+
+    * the DRAM-backlog throttle.  While the channel's low-priority bus
+      runs more than ``prefetch_backlog_margin`` cycles beyond both the
+      demand bus and one uncontended row-miss service from now, the
+      request is dropped and charged to the level it asked for: it would
+      arrive uselessly late;
+    * Berti's orchestration rule (Section V-A): an L1D request goes to
+      the L2 instead while half the L1D MSHRs are busy, so that prefetch
+      bursts do not starve demand misses of MSHRs;
+    * its level's drop checks: the line is resident or in flight, the PQ
+      is full, the MSHRs are full (hardware drops a prefetch rather than
+      queue it for an MSHR ahead of demand misses).
+
+    A request that passes all three enters the memory system through its
+    level's walk and holds a PQ slot until its fill.  The throttle and
+    the demotion read DRAM and L1D MSHR state that only such a request
+    changes (a drop bumps one counter), so they are evaluated once per
+    call and again after each request that enters.  ``pf_drop`` and
+    ``pf_issue`` go to the level's ``events``, as attached at call time,
+    in request order.  Like the walks, the closure captures no hierarchy.
+    """
+    l1_access, l2_access, llc_access = walks
+    l1_stats = l1d.stats
+    l1_sets = l1d.sets
+    l1_mask = l1d._set_mask
+    l1_outstanding = l1d._outstanding
+    l1_pq = l1d._pq_times
+    l1_mshr = l1d._mshr_times
+    l1_mshrs = l1d.params.mshrs
+    l2_stats = l2.stats
+    l2_sets = l2.sets
+    l2_mask = l2._set_mask
+    l2_outstanding = l2._outstanding
+    l2_pq = l2._pq_times
+    l2_mshr = l2._mshr_times
+    llc_stats = llc.stats
+    llc_sets = llc.sets
+    llc_mask = llc._set_mask
+    llc_outstanding = llc._outstanding
+    llc_pq = llc._pq_times
+    llc_mshr = llc._mshr_times
+    service = dram._service
+    margin = dram._backlog_margin
+
+    # Fill levels are compared as literals (0, 1, 2: ``LEVEL_L1D``,
+    # ``LEVEL_L2``, ``LEVEL_LLC``), saving a global read per request.
+    def issue(requests, time):
+        stale = True
+        for block, fill_level in requests:
+            if stale:
+                stale = False
+                reference = time + service
+                bus_free = dram._bus_free
+                if bus_free > reference:
+                    reference = bus_free
+                backlogged = dram._bus_free_low - reference > margin
+                # Unused while backlogged: every request of the call is
+                # dropped.
+                demote = not backlogged and 2 * (
+                    len(l1_mshr) - bisect_right(l1_mshr, time)) >= l1_mshrs
+            if fill_level <= 0:
+                if backlogged or (not demote and (
+                        block in l1_sets[block & l1_mask]
+                        or block in l1_outstanding
+                        or l1_pq[0] > time or l1_mshr[0] > time)):
+                    l1_stats.prefetches_dropped += 1
+                    if l1d.events is not None:
+                        l1d.events.emit("pf_drop", time, block, "L1D")
+                    continue
+                if not demote:
+                    l1_stats.prefetches_issued += 1
+                    if l1d.events is not None:
+                        l1d.events.emit("pf_issue", time, block, "L1D")
+                    completion = l1_access(block, time, REQ_PREFETCH)[0]
+                    # The walk never touches the PQ, so the head is still
+                    # the slot this prefetch claimed.
+                    del l1_pq[0]
+                    insort(l1_pq, completion)
+                    stale = True
+                    continue
+                fill_level = 1
+            if fill_level == 1:
+                if backlogged or block in l2_sets[block & l2_mask] \
+                        or block in l2_outstanding \
+                        or l2_pq[0] > time or l2_mshr[0] > time:
+                    l2_stats.prefetches_dropped += 1
+                    if l2.events is not None:
+                        l2.events.emit("pf_drop", time, block, "L2")
+                    continue
+                l2_stats.prefetches_issued += 1
+                if l2.events is not None:
+                    l2.events.emit("pf_issue", time, block, "L2")
+                completion = l2_access(block, time, REQ_PREFETCH)[0]
+                del l2_pq[0]
+                insort(l2_pq, completion)
+            elif backlogged or block in llc_sets[block & llc_mask] \
+                    or block in llc_outstanding \
+                    or llc_pq[0] > time or llc_mshr[0] > time:
+                llc_stats.prefetches_dropped += 1
+                if llc.events is not None:
+                    llc.events.emit("pf_drop", time, block, "LLC")
+                continue
+            else:
+                llc_stats.prefetches_issued += 1
+                if llc.events is not None:
+                    llc.events.emit("pf_issue", time, block, "LLC")
+                completion = llc_access(block, time, REQ_PREFETCH)[0]
+                del llc_pq[0]
+                insort(llc_pq, completion)
+            stale = True
+
+    return issue
+
+
 def _no_commit_action(block: int, time: int, hit_level: int,
                       refetches=None) -> int:
     """A non-secure hierarchy's commit: the access already updated it."""
@@ -253,14 +382,15 @@ class MemoryHierarchy:
         #: without a GM.
         self._refetch_batch = make_refetch_batch(
             (self.l1d, self.l2, self.llc), self.dram) if secure else None
-        self._l1d_mshrs = params.l1d.mshrs
-        #: Identity-stable alias of the L1D MSHR next-free times (the pool
-        #: mutates the list in place); read by the prefetch-demotion check.
-        self._l1d_mshr_times = self.l1d._mshrs.times
+        #: The prefetch issuer, ``issue_prefetches(requests, time)``
+        #: (:func:`make_prefetch_issuer`), over the three walks.
+        self.issue_prefetches = make_prefetch_issuer(
+            self.l1d, self.l2, self.llc, self.dram,
+            (self._l1d_access, self._l2_access, self._llc_access))
         #: GhostMinion's two per-load actions, built once over the
         #: collaborators above: ``speculative_load`` (``None`` without a
-        #: GM) and ``commit_load``.  Like the walks, they capture no
-        #: hierarchy.
+        #: GM) and ``commit_load``.  Like the walks and the issuer, they
+        #: capture no hierarchy.
         if secure:
             self.speculative_load = make_speculative_load(
                 self.gm, self.l1d, self._l1d_access,
@@ -303,42 +433,13 @@ class MemoryHierarchy:
     # prefetch path
     # ------------------------------------------------------------------
 
-    def issue_prefetch(self, block: int, time: int, fill_level: int) -> bool:
-        """Issue a prefetch that fills down to ``fill_level`` (0/1/2).
+    def issue_prefetch(self, block: int, time: int, fill_level: int) -> None:
+        """Issue one prefetch that fills down to ``fill_level`` (0/1/2).
 
-        L1D-destined prefetches are demoted to the L2 when the L1D MSHRs
-        are half occupied -- Berti's orchestration rule (Section V-A), which
-        keeps prefetch bursts from starving demand misses of MSHRs.  All
-        prefetching throttles when the DRAM channel's low-priority queue is
-        saturated (they would arrive uselessly late anyway).
+        One request through :attr:`issue_prefetches`; its counters and
+        events say whether it entered the memory system.
         """
-        # Inline of dram.backlogged(time) with the default margin -- this
-        # runs once per prefetch request, mostly to say "no".
-        dram = self.dram
-        reference = time + dram._service
-        bus_free = dram._bus_free
-        if bus_free > reference:
-            reference = bus_free
-        if dram._bus_free_low - reference > dram._backlog_margin:
-            if fill_level <= LEVEL_L1D:
-                return self.l1d._drop_prefetch(block, time)
-            if fill_level == LEVEL_L2:
-                return self.l2._drop_prefetch(block, time)
-            return self.llc._drop_prefetch(block, time)
-        if fill_level <= LEVEL_L1D:
-            # Inline of l1d.mshr_occupancy: the pool list is sorted, so
-            # the busy count (next-free strictly after ``time``) is one
-            # bisect.
-            times = self._l1d_mshr_times
-            if 2 * (len(times) - bisect_right(times, time)) \
-                    >= self._l1d_mshrs:
-                fill_level = LEVEL_L2
-            else:
-                return self.l1d.issue_prefetch(block, time,
-                                               self._l1d_access)
-        if fill_level == LEVEL_L2:
-            return self.l2.issue_prefetch(block, time, self._l2_access)
-        return self.llc.issue_prefetch(block, time, self._llc_access)
+        self.issue_prefetches(((block, fill_level),), time)
 
     # ------------------------------------------------------------------
 

@@ -44,21 +44,23 @@ It runs over the trace's prescanned plan (:mod:`repro.sim.batch`) and
 makes one hierarchy call per load: GhostMinion's
 ``MemoryHierarchy.speculative_load`` when secure, else the L1D walk.
 The commit drain (:meth:`System._make_drainer`) makes one
-``MemoryHierarchy.commit_load`` call per committed load.  The loop
-inlines the core model, the hit-level and X-LQ records, the dTLB hit
-and, through the prefetch issuer (:meth:`System._make_issuer`), the
-prefetch drop checks, with all per-record state in locals.
-docs/PERFORMANCE.md has the inventory; tests/sim/test_golden_stats.py
-pins the statistics bit for bit.  The ``rand-llc`` LLC keys its set
-index inside its own set array (``CacheParams.keyed_index``), so neither
-the loop nor the issuer has a case for it.
+``MemoryHierarchy.commit_load`` call per committed load.  Both hand a
+prefetcher's requests to the hierarchy's one prefetch issuer
+(``MemoryHierarchy.issue_prefetches``, through
+:meth:`System._make_issuer`).  The loop itself runs the core's timing
+rules (dispatch, load queue, retire; :mod:`repro.sim.cpu` holds their
+state), the hit-level and X-LQ records and the dTLB hit, with all
+per-record state in locals.  docs/PERFORMANCE.md has the inventory;
+tests/sim/test_golden_stats.py pins the statistics bit for bit.  The
+``rand-llc`` LLC keys its set index inside its own set array
+(``CacheParams.keyed_index``), so neither the loop nor the issuer has a
+case for it.
 """
 
 from __future__ import annotations
 
 import gc
 
-from bisect import bisect_right, insort
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -77,7 +79,7 @@ from .delay import DelayOnMissPolicy
 from .hierarchy import MemoryHierarchy
 from .params import SystemParams, baseline
 from .stats import (CacheStats, CoreStats, DRAMStats, GhostMinionStats,
-                    REQ_LOAD, REQ_PREFETCH, REQ_STORE)
+                    REQ_LOAD, REQ_STORE)
 from .tlb import TLBHierarchy, TLBStats
 
 #: Sentinel "sample threshold" used when interval sampling is disabled:
@@ -314,14 +316,14 @@ class System:
         record index, so the inner loop carries **zero** per-record
         boundary checks, flag tests, or address arithmetic.
 
-        The inner loop is deliberately *flat*: the per-record core model
-        (dispatch / LQ / retire, inlined from
-        :class:`~repro.sim.cpu.CoreModel`) holds its state in local
-        variables, and each load makes one hierarchy call.  The locals
-        are written back to ``self.core`` at every yield, sample, and
-        warm-up reset, so external readers (``MulticoreSystem``'s
-        ``current_cycle`` ordering, the interval sampler's occupancy
-        probes, :meth:`finalize`) always observe coherent state.
+        The inner loop is deliberately *flat*: the per-record core
+        timing (dispatch / LQ / retire) runs on local copies of
+        :class:`~repro.sim.cpu.CoreModel`'s state, and each load makes
+        one hierarchy call.  The locals are written back to
+        ``self.core`` at every yield, sample, and warm-up reset, so
+        external readers (``MulticoreSystem``'s ``current_cycle``
+        ordering, the interval sampler's occupancy probes,
+        :meth:`finalize`) always observe coherent state.
 
         Committed and wrong-path loads run one pipeline.  ``wrong`` is
         tested only where a transient load behaves differently: the
@@ -479,12 +481,15 @@ class System:
                 code = codes[j]
                 if code < 5:  # committed-path record
                     if pending_redirect:
-                        # CoreModel.redirect, inlined.
+                        # A mispredict's redirect holds the front end
+                        # until the branch resolves plus the refill
+                        # penalty; one already in the past is void.
                         if pending_redirect > dispatch_cycle:
                             dispatch_cycle = pending_redirect
                             dispatch_slot = 0
                         pending_redirect = 0
-                    # CoreModel.dispatch, inlined.
+                    # Dispatch: with the ROB full, wait for its oldest
+                    # entry to retire.
                     if rob_len >= rob_entries:
                         oldest = rob_popleft()
                         if oldest > dispatch_cycle:
@@ -492,7 +497,8 @@ class System:
                             dispatch_slot = 0
                     else:
                         rob_len += 1
-                # A wrong-path record also takes its dispatch slot and can
+                # ``issue_width`` records dispatch per cycle.  A
+                # wrong-path record also takes its dispatch slot and can
                 # trigger commit drains, but it never redirects, retires,
                 # or checks ROB backpressure.
                 t_disp = dispatch_cycle
@@ -524,7 +530,8 @@ class System:
                     wrong = code == 5
                     block = blocks[j]
                     issue_time = t_disp + issue_latency
-                    # CoreModel.lq_allocate, inlined.
+                    # With the LQ full, the load issues once its oldest
+                    # entry's load completes.
                     if lq_len >= lq_entries:
                         oldest = lq_popleft()
                         if oldest > issue_time:
@@ -553,8 +560,8 @@ class System:
                         if wrong and not l1d_hit:
                             # Delay-on-miss: a wrong-path miss never clears
                             # the branch horizon, so its request is never
-                            # sent -- squashed (CoreModel.lq_complete
-                            # inlined).
+                            # sent -- squashed, its LQ entry freed a cycle
+                            # after issue.
                             lq_append(issue_time + 1)
                             load_seq += 1
                             n_wrong_loads += 1
@@ -586,7 +593,8 @@ class System:
                             > merged2_pre
                         useful_l2 = l2_stats.prefetches_useful > useful2_pre
                     fetch_latency = completion - issue_time
-                    # CoreModel.lq_complete, inlined.
+                    # The LQ entry frees at completion; LQ slot ids
+                    # (hit-level queue, X-LQ) rotate in load order.
                     lq_append(completion)
                     slot = load_seq % lq_entries
                     load_seq += 1
@@ -656,7 +664,8 @@ class System:
                     n_loads += 1
                     if delay_policy is not None:
                         delay_policy.note_load_completion(completion)
-                    # CoreModel.retire, inlined.
+                    # Retire in order, ``retire_width`` per cycle, no
+                    # earlier than completion or a cycle after dispatch.
                     ready = t_disp + 1
                     if completion > ready:
                         ready = completion
@@ -962,140 +971,29 @@ class System:
         return drain
 
     def _make_issuer(self):
-        """Build the prefetch-issue closure: ``issue(requests, time)``.
+        """The prefetch issuer, ``issue(requests, time)``.
 
-        Every request's trigger is logged with the miss classifier
-        first, issued or not: the Fig. 6 commit-late definition asks
-        when the prefetcher triggered the line, even if the request was
-        redundant by then.  The common outcome of a request is a *drop*
-        -- line already resident, already in flight, PQ or MSHR full,
-        DRAM backlogged -- which ``MemoryHierarchy.issue_prefetch``, the
-        per-request reference the tests compare against, pays two more
-        call frames to discover (``CacheLevel.issue_prefetch`` ->
-        ``_drop_prefetch``).  The closure replicates that decision chain
-        flat, charging the same counters and emitting the same
-        ``pf_drop``/``pf_issue`` events in the same order, and only
-        calls into a walk when a prefetch actually enters the memory
-        system.  It takes the levels' event traces as they are when it
-        is built.  The closure is stored on the system, so it must not
-        capture the system itself (or any of its bound methods): that
-        cycle would keep every finished system alive until the cyclic
-        collector runs.
+        It is the hierarchy's one issuer
+        (:func:`~repro.sim.hierarchy.make_prefetch_issuer`).  With a miss
+        classifier attached, every request's trigger is logged first,
+        issued or not: the Fig. 6 commit-late definition asks when the
+        prefetcher triggered the line, even if the request was redundant
+        by then.  The log reads no hierarchy state, so logging a call's
+        triggers before issuing any of them changes nothing.  The
+        closure is stored on the system, so it must not capture the
+        system itself (or any of its bound methods): that cycle would
+        keep every finished system alive until the cyclic collector runs.
         """
-        hierarchy = self.hierarchy
-        dram = hierarchy.dram
-        l1d = hierarchy.l1d
-        l2 = hierarchy.l2
-        llc = hierarchy.llc
-        l1_stats = l1d.stats
-        l2_stats = l2.stats
-        llc_stats = llc.stats
-        l1_events = l1d.events
-        l2_events = l2.events
-        llc_events = llc.events
-        l1_sets = l1d.sets
-        l1_mask = l1d._set_mask
-        l1_outstanding = l1d._outstanding
-        l1_pq = l1d._pq_times
-        l1_mshr = l1d._mshr_times
-        l1_access = hierarchy._l1d_access
-        l2_sets = l2.sets
-        l2_mask = l2._set_mask
-        l2_outstanding = l2._outstanding
-        l2_pq = l2._pq_times
-        l2_mshr = l2._mshr_times
-        l2_access = hierarchy._l2_access
-        llc_issue = llc.issue_prefetch
-        llc_access = hierarchy._llc_access
-        mshr_limit = hierarchy._l1d_mshrs
-        classifier = self.classifier
-        on_real = classifier.on_real_prefetch \
-            if classifier is not None else None
+        issue = self.hierarchy.issue_prefetches
+        if self.classifier is None:
+            return issue
+        on_real = self.classifier.on_real_prefetch
 
-        def issue(requests, time):
-            # hierarchy.issue_prefetch, inlined.  Its DRAM backlog
-            # throttle and L1D-MSHR demotion test read DRAM and MSHR state
-            # that only a request entering the memory system changes (a
-            # drop touches a counter and nothing else), so they are
-            # evaluated once per call and again only after such a request.
-            stale = True
-            for pf_block, fill_level in requests:
-                if on_real is not None:
-                    on_real(pf_block, time)
-                if stale:
-                    stale = False
-                    reference = time + dram._service
-                    bus_free = dram._bus_free
-                    if bus_free > reference:
-                        reference = bus_free
-                    backlogged = dram._bus_free_low - reference \
-                        > dram._backlog_margin
-                    # Berti's orchestration rule: demote to the L2 when
-                    # the L1D MSHRs are half occupied.  Unused while
-                    # backlogged: every request of the call is dropped.
-                    demote = not backlogged and 2 * (
-                        len(l1_mshr) - bisect_right(l1_mshr, time)) \
-                        >= mshr_limit
-                if backlogged:
-                    # The throttle runs first, charging the *requested*
-                    # fill level's drop counter.
-                    if fill_level <= 0:
-                        l1_stats.prefetches_dropped += 1
-                        if l1_events is not None:
-                            l1_events.emit("pf_drop", time, pf_block, "L1D")
-                    elif fill_level == 1:
-                        l2_stats.prefetches_dropped += 1
-                        if l2_events is not None:
-                            l2_events.emit("pf_drop", time, pf_block, "L2")
-                    else:
-                        llc_stats.prefetches_dropped += 1
-                        if llc_events is not None:
-                            llc_events.emit("pf_drop", time, pf_block, "LLC")
-                    continue
-                if fill_level <= 0:
-                    if demote:
-                        fill_level = 1
-                    elif pf_block in l1_sets[pf_block & l1_mask] \
-                            or pf_block in l1_outstanding \
-                            or l1_pq[0] > time or l1_mshr[0] > time:
-                        # CacheLevel.issue_prefetch's drop checks, in
-                        # their exact order (resident / in flight, PQ
-                        # full, MSHRs full).
-                        l1_stats.prefetches_dropped += 1
-                        if l1_events is not None:
-                            l1_events.emit("pf_drop", time, pf_block, "L1D")
-                        continue
-                    else:
-                        l1_stats.prefetches_issued += 1
-                        if l1_events is not None:
-                            l1_events.emit("pf_issue", time, pf_block,
-                                           "L1D")
-                        completion, _ = l1_access(
-                            pf_block, time, REQ_PREFETCH, True, True)
-                        del l1_pq[0]
-                        insort(l1_pq, completion)
-                        stale = True
-                        continue
-                if fill_level == 1:
-                    if pf_block in l2_sets[pf_block & l2_mask] \
-                            or pf_block in l2_outstanding \
-                            or l2_pq[0] > time or l2_mshr[0] > time:
-                        l2_stats.prefetches_dropped += 1
-                        if l2_events is not None:
-                            l2_events.emit("pf_drop", time, pf_block, "L2")
-                    else:
-                        l2_stats.prefetches_issued += 1
-                        if l2_events is not None:
-                            l2_events.emit("pf_issue", time, pf_block, "L2")
-                        completion, _ = l2_access(
-                            pf_block, time, REQ_PREFETCH, True, True)
-                        del l2_pq[0]
-                        insort(l2_pq, completion)
-                        stale = True
-                else:
-                    llc_issue(pf_block, time, llc_access)
-                    stale = True
-        return issue
+        def logged_issue(requests, time):
+            for block, _ in requests:
+                on_real(block, time)
+            issue(requests, time)
+        return logged_issue
 
     # ------------------------------------------------------------------
     # measurement

@@ -161,23 +161,6 @@ class TLBHierarchy:
         self._dtlb.fill(page)
         return self._stlb_latency + self._walk_latency
 
-    def translate_block(self, block: int) -> int:
-        """Translate a cache-block number (64-byte blocks, 4 KB pages).
-
-        Same fast path as :meth:`translate`, minus the round trip through
-        a byte address: ``(block << 6) >> PAGE_SHIFT == block >> 6``.
-        """
-        if not self._enabled:
-            return 0
-        page = block >> 6
-        self.stats.dtlb_accesses += 1
-        set_ = self._dtlb_sets[page & self._dtlb_mask]
-        if page in set_:
-            del set_[page]
-            set_[page] = None
-            return 0
-        return self._miss(page)
-
     def flush(self) -> None:
         """Full TLB shootdown (context/domain switch)."""
         self._dtlb.flush()

@@ -1,13 +1,16 @@
 """Set-associative cache level: hits, LRU, MSHRs, ports, prefetch queue."""
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.cache import (CacheLevel, LEVEL_DRAM, LEVEL_L1D,
-                             MemoryBackend, _PortBucket)
+from repro.sim.cache import (CacheLevel, LEVEL_DRAM, LEVEL_L1D, LEVEL_L2,
+                             LEVEL_LLC, MemoryBackend, _PortBucket)
 from repro.sim.dram import DRAMChannel
 from repro.sim.flatwalk import make_flat_descent
-from repro.sim.params import CacheParams, DRAMParams
+from repro.sim.hierarchy import MemoryHierarchy
+from repro.sim.params import CacheParams, DRAMParams, baseline
 from repro.sim.stats import REQ_COMMIT, REQ_LOAD, REQ_STORE
 
 
@@ -116,7 +119,9 @@ class TestInvisibleWalk:
         cache = small_cache(mshrs=1)
         access = walk(cache)
         access(5, 0, REQ_LOAD, update=False, fill=False)
-        assert cache.mshr_occupancy(1) == 1
+        # The invisible miss holds the only MSHR: the next miss waits.
+        access(13, 1, REQ_LOAD)
+        assert cache.stats.mshr_full_events == 1
 
     def test_stale_outstanding_expires(self):
         cache = small_cache()
@@ -220,67 +225,93 @@ class TestCommitWrite:
         assert cache.lookup(5).gm_propagate
 
 
+def hierarchy_with(level, ways=2, mshrs=4, pq=4):
+    """A Table II hierarchy whose ``level`` is a small (1 KB) cache, and
+    that level's walk.  Prefetches reach a level only through the
+    hierarchy's issuer."""
+    name = ("l1d", "l2", "llc")[level]
+    params = baseline()
+    small = replace(getattr(params, name), size_kb=1, ways=ways,
+                    mshrs=mshrs, pq_entries=pq)
+    h = MemoryHierarchy(replace(params, **{name: small}))
+    return h, h.levels()[level], (h._l1d_access, h._l2_access,
+                                  h._llc_access)[level]
+
+
+LEVELS = (LEVEL_L1D, LEVEL_L2, LEVEL_LLC)
+
+
 class TestPrefetchQueue:
     def test_issue_and_fill(self):
-        cache = small_cache()
-        access = walk(cache)
-        assert cache.issue_prefetch(5, 0, access)
-        assert cache.stats.prefetches_issued == 1
-        assert cache.stats.prefetch_fills == 1
-        assert cache.lookup(5).prefetched
+        for level in LEVELS:
+            h, cache, _ = hierarchy_with(level)
+            h.issue_prefetch(5, 0, level)
+            assert cache.stats.prefetches_issued == 1
+            assert cache.stats.prefetch_fills == 1
+            assert cache.lookup(5).prefetched
 
     def test_duplicate_dropped(self):
-        cache = small_cache()
-        access = walk(cache)
-        cache.insert(5, 0)
-        assert not cache.issue_prefetch(5, 1, access)
-        assert cache.stats.prefetches_dropped == 1
+        for level in LEVELS:
+            h, cache, _ = hierarchy_with(level)
+            cache.insert(5, 0)
+            h.issue_prefetch(5, 1, level)
+            assert cache.stats.prefetches_dropped == 1
+            assert cache.stats.prefetches_issued == 0
 
     def test_in_flight_duplicate_dropped(self):
-        cache = small_cache()
-        access = walk(cache)
-        access(5, 0, REQ_LOAD, fill=False)
-        assert not cache.issue_prefetch(5, 1, access)
+        for level in LEVELS:
+            h, cache, access = hierarchy_with(level)
+            access(5, 0, REQ_LOAD, fill=False)
+            h.issue_prefetch(5, 1, level)
+            assert cache.stats.prefetches_dropped == 1
 
     def test_pq_full_drops(self):
-        cache = small_cache(pq=2, mshrs=8)
-        access = walk(cache)
-        assert cache.issue_prefetch(0, 0, access)
-        assert cache.issue_prefetch(8, 0, access)
-        assert not cache.issue_prefetch(16, 0, access)
-        assert cache.stats.prefetches_dropped == 1
+        for level in LEVELS:
+            h, cache, _ = hierarchy_with(level, pq=2, mshrs=8)
+            h.issue_prefetches([(0, level), (8, level), (16, level)], 0)
+            assert cache.stats.prefetches_issued == 2
+            assert cache.stats.prefetches_dropped == 1
 
     def test_mshr_full_drops_prefetch(self):
-        cache = small_cache(mshrs=2, pq=8)
-        access = walk(cache)
+        for level in (LEVEL_L2, LEVEL_LLC):
+            h, cache, access = hierarchy_with(level, mshrs=2, pq=8)
+            access(0, 0, REQ_LOAD)
+            access(8, 0, REQ_LOAD)
+            h.issue_prefetch(16, 0, level)
+            assert cache.stats.prefetches_dropped == 1
+        # At the L1D the same pressure demotes the request to the L2
+        # first (Berti's orchestration rule).
+        h, cache, access = hierarchy_with(LEVEL_L1D, mshrs=2, pq=8)
         access(0, 0, REQ_LOAD)
         access(8, 0, REQ_LOAD)
-        assert not cache.issue_prefetch(16, 0, access)
+        h.issue_prefetch(16, 0, LEVEL_L1D)
+        assert cache.stats.prefetches_dropped == 0
+        assert h.l2.stats.prefetches_issued == 1
 
     def test_usefulness_tracking(self):
-        cache = small_cache()
-        access = walk(cache)
-        cache.issue_prefetch(5, 0, access)
-        done, _ = access(5, 500, REQ_LOAD)
-        assert cache.stats.prefetches_useful == 1
-        # A second demand hit does not double-count.
-        access(5, 600, REQ_LOAD)
-        assert cache.stats.prefetches_useful == 1
+        for level in LEVELS:
+            h, cache, access = hierarchy_with(level)
+            h.issue_prefetch(5, 0, level)
+            access(5, 500, REQ_LOAD)
+            assert cache.stats.prefetches_useful == 1
+            # A second demand hit does not double-count.
+            access(5, 600, REQ_LOAD)
+            assert cache.stats.prefetches_useful == 1
 
     def test_useless_counted_on_eviction(self):
-        cache = small_cache(ways=1)
-        access = walk(cache)
-        cache.issue_prefetch(0, 0, access)
-        cache.insert(16, 5000)  # evict the never-used prefetch
-        assert cache.stats.prefetches_useless == 1
+        for level in LEVELS:
+            h, cache, _ = hierarchy_with(level, ways=1)
+            h.issue_prefetch(0, 0, level)
+            cache.insert(16, 5000)  # evict the never-used prefetch
+            assert cache.stats.prefetches_useless == 1
 
     def test_late_prefetch_merge_detected(self):
-        cache = small_cache()
-        access = walk(cache)
-        cache.issue_prefetch(5, 0, access)
-        access(5, 1, REQ_LOAD)  # merges with the in-flight prefetch
-        assert cache.stats.demand_merged_into_prefetch == 1
-        assert cache.stats.prefetches_useful == 1
+        for level in LEVELS:
+            h, cache, access = hierarchy_with(level)
+            h.issue_prefetch(5, 0, level)
+            access(5, 1, REQ_LOAD)  # merges with the in-flight prefetch
+            assert cache.stats.demand_merged_into_prefetch == 1
+            assert cache.stats.prefetches_useful == 1
 
 
 class TestPortBucket:

@@ -1,92 +1,151 @@
-"""Out-of-order core timing model."""
+"""Out-of-order core timing: the dispatch, load-queue and retire rules.
 
-from repro.sim.cpu import CoreModel
-from repro.sim.params import CoreParams
+Each rule is checked on a small hand-built trace run through ``System``,
+which applies it per record (``System._stepper``), against a closed-form
+cycle count.  ``warmup=0`` keeps every record measured, so a run's
+``cycles`` is its last retire cycle.  The TLB is off, so a load reaches
+the data cache ``load_issue_latency`` after dispatch.
+"""
+
+from dataclasses import replace
+
+from repro.sim.hierarchy import MemoryHierarchy
+from repro.sim.params import CoreParams, baseline
+from repro.sim.system import System
+from repro.sim.tlb import TLBParams
+from repro.workloads.trace import (FLAG_BRANCH, FLAG_MISPREDICT,
+                                   FLAG_WRONG_PATH, Trace, alu, load)
+
+MISPREDICT = (1, -1, FLAG_BRANCH | FLAG_MISPREDICT)
+WRONG_ALU = (2, -1, FLAG_WRONG_PATH)
 
 
-def make_core(**kw):
-    defaults = dict(issue_width=2, retire_width=2, rob_entries=8,
-                    lq_entries=4)
-    defaults.update(kw)
-    return CoreModel(CoreParams(**defaults))
+def make_params(**core):
+    return replace(baseline(), core=CoreParams(**core),
+                   tlb=TLBParams(enabled=False))
+
+
+def make_system(**core):
+    return System(make_params(**core))
+
+
+def cycles(records, warmup=0.0, **core):
+    return make_system(**core).run(Trace("t", records), warmup).cycles
+
+
+def dram_completion(block, **core):
+    """When a load of ``block`` dispatched at cycle 0 into an idle
+    hierarchy completes: it reaches the L1D ``load_issue_latency`` later
+    and misses to DRAM."""
+    params = make_params(**core)
+    hierarchy = MemoryHierarchy(params)
+    return hierarchy.demand_load(block, params.core.load_issue_latency,
+                                 1).completion
 
 
 class TestDispatch:
     def test_issue_width_per_cycle(self):
-        core = make_core(issue_width=2)
-        cycles = [core.dispatch(False) for _ in range(6)]
-        assert cycles == [0, 0, 1, 1, 2, 2]
+        # Six one-cycle ALU records dispatch ``issue_width`` per cycle and
+        # each retires a cycle after dispatch (retire width 4).
+        six = [alu(1)] * 6
+        assert cycles(six, issue_width=1, alu_latency=1) == 6
+        assert cycles(six, issue_width=2, alu_latency=1) == 3
+        assert cycles(six, issue_width=6, alu_latency=1) == 2
 
     def test_rob_limits_dispatch(self):
-        core = make_core(rob_entries=4, issue_width=4)
-        # Four instructions retire at cycle 100 each.
-        for _ in range(4):
-            t = core.dispatch(False)
-            core.retire(100, t)
-        # The 5th must wait for the first retirement.
-        assert core.dispatch(False) >= 100
+        # Four 100-cycle records fill a 4-entry ROB at cycle 0; the next
+        # four dispatch when the first retires, at 100, and retire at 200.
+        eight = [alu(1)] * 8
+        assert cycles(eight, issue_width=4, rob_entries=4, lq_entries=4,
+                      alu_latency=100) == 200
+        # With room in the ROB the second four dispatch at cycle 1.
+        assert cycles(eight, issue_width=4, alu_latency=100) == 101
 
     def test_wrong_path_skips_rob_check(self):
-        core = make_core(rob_entries=2, issue_width=4)
-        for _ in range(2):
-            t = core.dispatch(False)
-            core.retire(100, t)
-        # Wrong-path instructions dispatch without waiting on the ROB.
-        assert core.dispatch(True) == 0
+        # Wrong-path records neither wait for nor hold a ROB entry: with
+        # one committed record in a 2-entry ROB, the three wrong-path
+        # records dispatch at cycles 1-3 and the next committed record
+        # at 4, not at 100 when the first one retires.
+        records = [alu(1)] + [WRONG_ALU] * 3 + [alu(1)]
+        assert cycles(records, issue_width=1, rob_entries=2, lq_entries=2,
+                      alu_latency=100) == 104
 
     def test_redirect_stalls_frontend(self):
-        core = make_core()
-        core.dispatch(False)
-        core.redirect(50)
-        assert core.dispatch(False) == 50
+        # The mispredicted branch dispatches at 0 and resolves at 1; the
+        # next committed record dispatches after the refill penalty.
+        penalty = 15
+        records = [MISPREDICT, alu(1)]
+        assert cycles(records, issue_width=1, alu_latency=1,
+                      mispredict_penalty=penalty) == 1 + penalty + 1
 
     def test_redirect_in_past_ignored(self):
-        core = make_core()
-        for _ in range(10):
-            core.dispatch(False)
-        before = core.current_cycle
-        core.redirect(1)
-        assert core.current_cycle == before
+        # Thirty wrong-path records take the front end to cycle 31, past
+        # the redirect at 16: the committed record dispatches at 31.
+        records = [MISPREDICT] + [WRONG_ALU] * 30 + [alu(1)]
+        assert cycles(records, issue_width=1, alu_latency=1,
+                      mispredict_penalty=15) == 32
 
 
 class TestRetire:
     def test_in_order(self):
-        core = make_core(retire_width=4)
-        t1 = core.retire(100, 0)
-        t2 = core.retire(10, 0)   # completed early, retires after t1
-        assert t2 >= t1
+        # Four ALU records behind a DRAM miss wait for it: three retire
+        # in its cycle, the fourth in the next (retire width 4).
+        completion = dram_completion(0)
+        assert completion > 100
+        assert cycles([load(1, 0)] + [alu(1)] * 4) == completion + 1
 
     def test_retire_width(self):
-        core = make_core(retire_width=2)
-        times = [core.retire(5, 0) for _ in range(4)]
-        assert times == [5, 5, 6, 6]
+        # Six records dispatched together retire ``retire_width`` per
+        # cycle from cycle 1.
+        six = [alu(1)] * 6
+        for width, expected in ((1, 6), (2, 3), (4, 2), (6, 1)):
+            assert cycles(six, issue_width=6, retire_width=width,
+                          alu_latency=1) == expected, width
 
     def test_retire_after_dispatch(self):
-        core = make_core()
-        t = core.retire(0, 10)
-        assert t >= 11
+        # A zero-latency record still retires a cycle after dispatch.
+        assert cycles([alu(1)] * 6, issue_width=1, alu_latency=0) == 6
 
     def test_final_retire_tracks_max(self):
-        core = make_core()
-        core.retire(100, 0)
-        core.retire(50, 0)
-        assert core.final_retire >= 100
+        # The measured cycles run from the last retire at the warm-up
+        # reset (the third record's, at 3) to the run's last retire (6).
+        system = make_system(issue_width=1, alu_latency=1)
+        result = system.run(Trace("t", [alu(1)] * 6), warmup=0.5)
+        assert system.core.final_retire == 6
+        assert result.committed == 3
+        assert result.cycles == 3
 
 
 class TestLoadQueue:
     def test_lq_backpressure(self):
-        core = make_core(lq_entries=2)
-        core.lq_allocate(0)
-        core.lq_complete(500)
-        core.lq_allocate(1)
-        core.lq_complete(600)
-        # The third load waits for the oldest completion.
-        assert core.lq_allocate(2) == 500
+        # Three loads of one block dispatched together.  With a free LQ
+        # entry each, the second and third merge with the first's miss
+        # and complete with it.  With one entry, each waits for the
+        # previous load to complete and then hits the L1D.
+        completion = dram_completion(0)
+        l1d_latency = baseline().l1d.latency
+        three = [load(1, 0)] * 3
+        assert cycles(three) == completion
+        assert cycles(three, lq_entries=1) == completion + 2 * l1d_latency
 
     def test_slot_ids_rotate(self):
-        core = make_core(lq_entries=4)
-        slots = []
-        for i in range(6):
-            core.lq_allocate(i)
-            slots.append(core.lq_complete(i + 10))
-        assert slots == [0, 1, 2, 3, 0, 1]
+        # SUF reads each committing load's hit level from its LQ slot, so
+        # a wrong slot id shows as a wrong SUF decision.  Two laps of a
+        # 4-entry LQ, each of two L1D hits and two DRAM misses: all four
+        # of a lap are in flight before any commits, and the 4-entry ROB
+        # holds each load of the second lap until its slot's first-lap
+        # load has committed.
+        system = System(make_params(rob_entries=4, lq_entries=4),
+                        secure=True, suf=True)
+        hits = [(lap * 2 + i + 1) * 64 for lap in range(2) for i in range(2)]
+        for block in hits:
+            system.hierarchy.l1d.insert(block, 0)
+        records = []
+        for lap in range(2):
+            for i in range(2):
+                records.append(load(1, hits[lap * 2 + i] << 6))
+                records.append(load(2, (1000 + lap * 2 + i) << 12))
+        result = system.run(Trace("t", records), warmup=0.0)
+        assert result.gm.commit_drops_suf == 4  # the L1D hits
+        assert result.gm.commit_writes == 4     # the DRAM misses
+        assert result.gm.commit_refetches == 0

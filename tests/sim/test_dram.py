@@ -1,11 +1,33 @@
 """Open-page DRAM channel model."""
 
+from dataclasses import replace
+
+from repro.sim.cache import LEVEL_L2
 from repro.sim.dram import DRAMChannel
-from repro.sim.params import DRAMParams
+from repro.sim.hierarchy import MemoryHierarchy
+from repro.sim.params import DRAMParams, baseline
 
 
 def make_channel(**kw):
     return DRAMChannel(DRAMParams(**kw))
+
+
+def hierarchy_over(**kw):
+    """A Table II hierarchy over a channel with these DRAM params.  The
+    channel's prefetch throttle is applied by the hierarchy's prefetch
+    issuer, so that is where it is observed."""
+    return MemoryHierarchy(replace(baseline(), dram=DRAMParams(**kw)))
+
+
+def throttles(hierarchy, time):
+    """Whether the issuer drops an L2 prefetch of a cold block at
+    ``time``: with the L2's PQ and MSHRs idle, only the DRAM-backlog
+    throttle drops it."""
+    stats = hierarchy.l2.stats
+    dropped = stats.prefetches_dropped
+    block = (1 << 30) + stats.prefetches_issued + dropped
+    hierarchy.issue_prefetch(block, time, LEVEL_L2)
+    return stats.prefetches_dropped > dropped
 
 
 class TestRowBuffer:
@@ -95,17 +117,19 @@ class TestDemandPriority:
         assert p_done > d_done - dram.params.bus_cycles_per_line
 
     def test_backlogged_signal(self):
-        dram = make_channel(banks=1)
-        assert not dram.backlogged(0)
+        # A deep low-priority queue throttles prefetches.
+        h = hierarchy_over(banks=1)
+        assert not throttles(h, 0)
         for i in range(20):
-            dram.access(i * 1 << 20, time=0, demand=False)
-        assert dram.backlogged(0)
+            h.dram.access(i * 1 << 20, time=0, demand=False)
+        assert throttles(h, 0)
 
     def test_backlogged_ignores_demand_queue(self):
-        dram = make_channel(banks=1)
+        # Demand traffic, however deep, does not.
+        h = hierarchy_over(banks=1)
         for i in range(20):
-            dram.access(i * 1 << 20, time=0, demand=True)
-        assert not dram.backlogged(0)
+            h.dram.access(i * 1 << 20, time=0, demand=True)
+        assert not throttles(h, 0)
 
 
 class TestStats:
@@ -165,15 +189,16 @@ class TestAdversarialArrivalOrder:
             prev = cur
 
     def test_backlog_never_negative_under_reordering(self):
-        dram = make_channel(banks=1)
         # A burst of low-priority traffic followed by a demand request
-        # arriving with an *older* timestamp.
+        # arriving with an *older* timestamp.  The throttle measures the
+        # backlog from each prefetch's own time: the burst still holds
+        # one at its own cycle, and one far past it counts no backlog.
+        h = hierarchy_over(banks=1)
         for i in range(8):
-            dram.access(i << 20, time=1000, demand=False)
-        dram.access(99 << 20, time=0, demand=True)
-        for probe in (0, 500, 1000, 10**9):
-            assert dram.low_backlog(probe) >= 0
-        assert isinstance(dram.backlogged(0), bool)
+            h.dram.access(i << 20, time=1000, demand=False)
+        h.dram.access(99 << 20, time=0, demand=True)
+        assert throttles(h, 1000)
+        assert not throttles(h, 10**9)
 
     def test_same_bank_decreasing_times_serialize(self):
         dram = make_channel(banks=1)
@@ -288,34 +313,17 @@ class TestAccessBatch:
 
 
 class TestBackloggedMargin:
-    """``backlogged(time, margin)``: the margin override must be honored
-    (and ``None`` must mean the params default, not "compare to None")."""
+    """``DRAMParams.prefetch_backlog_margin`` sets the throttle."""
 
     def test_explicit_margin_overrides_default(self):
-        dram = make_channel(banks=1)
-        for i in range(20):
-            dram.access(i << 20, time=0, demand=False)
-        backlog = dram.low_backlog(0) - dram.params.controller_latency \
-            - dram.params.t_rp - dram.params.t_rcd - dram.params.t_cas \
-            - dram.params.bus_cycles_per_line
-        assert dram.backlogged(0)  # default margin: deep queue
-        # A margin far above the backlog turns the signal off; zero (or
-        # below-backlog) margins keep it on.
-        assert not dram.backlogged(0, margin=10**9)
-        assert dram.backlogged(0, margin=0)
-        if backlog > 1:
-            assert dram.backlogged(0, margin=backlog - 1)
+        def throttled(**margin):
+            h = hierarchy_over(banks=1, **margin)
+            for i in range(20):
+                h.dram.access(i << 20, time=0, demand=False)
+            return throttles(h, 0)
 
-    def test_none_margin_means_params_default(self):
-        dram = make_channel(banks=1)
-        for i in range(20):
-            dram.access(i << 20, time=0, demand=False)
-        assert dram.backlogged(0, margin=None) == dram.backlogged(
-            0, margin=dram.params.prefetch_backlog_margin)
-
-    def test_margin_annotation_is_optional(self):
-        # Regression for the `margin: int = None` type wart: the default
-        # is None, so the annotation must be Optional[int].
-        import typing
-        hints = typing.get_type_hints(DRAMChannel.backlogged)
-        assert hints["margin"] == typing.Optional[int]
+        assert throttled()  # default margin: deep queue
+        # A margin far above the backlog turns the throttle off; a zero
+        # margin keeps it on.
+        assert not throttled(prefetch_backlog_margin=10**9)
+        assert throttled(prefetch_backlog_margin=0)

@@ -1,8 +1,12 @@
 """Memory hierarchy: demand paths, GhostMinion flows, SUF integration."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.suf import suf_decide
+from repro.obs import EventTrace
+from repro.security.mitigations import randomized_llc_params
 from repro.sim.cache import LEVEL_DRAM, LEVEL_L1D, LEVEL_L2, LEVEL_LLC
 from repro.sim.hierarchy import MemoryHierarchy
 from repro.sim.params import baseline
@@ -201,31 +205,167 @@ class TestCommitPath:
 class TestPrefetchIssue:
     def test_fill_levels(self):
         h = make_hierarchy()
-        assert h.issue_prefetch(5, 0, LEVEL_L1D)
+        h.issue_prefetch(5, 0, LEVEL_L1D)
         assert h.l1d.contains(5)
-        assert h.issue_prefetch(900, 0, LEVEL_L2)
+        h.issue_prefetch(900, 0, LEVEL_L2)
         assert not h.l1d.contains(900)
         assert h.l2.contains(900)
-        assert h.issue_prefetch(1800, 0, LEVEL_LLC)
+        h.issue_prefetch(1800, 0, LEVEL_LLC)
         assert not h.l2.contains(1800)
         assert h.llc.contains(1800)
+        assert [level.stats.prefetches_issued for level in h.levels()] \
+            == [1, 1, 1]
 
     def test_l1_demotes_under_mshr_pressure(self):
         h = make_hierarchy()
         # Occupy half the L1D MSHRs with demand misses.
         for i in range(8):
             h.demand_load(1000 + i * 64, 0, timestamp=i)
-        assert h.issue_prefetch(5, 1, LEVEL_L1D)
+        h.issue_prefetch(5, 1, LEVEL_L1D)
         assert not h.l1d.contains(5)
         assert h.l2.contains(5)
+        assert h.l1d.stats.prefetches_issued == 0
+        assert h.l2.stats.prefetches_issued == 1
 
     def test_backpressure_drops(self):
         h = make_hierarchy()
         # Saturate the low-priority DRAM lane.
         for i in range(100):
             h.dram.access(i * 4096, 0, demand=False)
-        assert not h.issue_prefetch(5, 0, LEVEL_L1D)
+        h.issue_prefetch(5, 0, LEVEL_L1D)
         assert h.l1d.stats.prefetches_dropped == 1
+        assert not h.l1d.contains(5)
+
+
+def at_backlog_margin(h, time):
+    """Put the DRAM low-priority bus exactly at the prefetch throttle's
+    margin at ``time``: not yet backlogged, but one more low-priority
+    request makes it so."""
+    dram = h.dram
+    dram._bus_free_low = time + dram._service + dram._backlog_margin
+
+
+def pf_events(h):
+    return [event for event in h.l1d.events.events()
+            if event[0] in ("pf_drop", "pf_issue")]
+
+
+class TestPrefetchIssuer:
+    """The hierarchy's one prefetch issuer, ``issue_prefetches``."""
+
+    @staticmethod
+    def traced(params=None):
+        h = MemoryHierarchy(params if params is not None else baseline())
+        h.attach_events(EventTrace())
+        return h
+
+    @pytest.mark.parametrize("level", [LEVEL_L1D, LEVEL_L2, LEVEL_LLC])
+    def test_throttle_charges_the_requested_level(self, level):
+        h = self.traced()
+        # Half the L1D MSHRs busy: an L1D request would be demoted to the
+        # L2, but the throttle comes first and charges the L1D.
+        for i in range(8):
+            h.demand_load(1000 + i * 64, 0, timestamp=i)
+        for i in range(100):
+            h.dram.access(i * 4096, 0, demand=False)
+        h.issue_prefetches([(5, level), (6, level)], 1)
+        dropped = [lvl.stats.prefetches_dropped for lvl in h.levels()]
+        assert dropped == [2 if lvl == level else 0 for lvl in range(3)]
+        assert all(lvl.stats.prefetches_issued == 0 for lvl in h.levels())
+        unit = ("L1D", "L2", "LLC")[level]
+        assert pf_events(h) == [("pf_drop", 1, 5, unit),
+                                ("pf_drop", 1, 6, unit)]
+
+    def test_events_follow_request_order(self):
+        h = make_hierarchy()
+        h.l1d.insert(5, 0)
+        h.l2.insert(7, 0)
+        h.attach_events(EventTrace())
+        h.issue_prefetches([(5, LEVEL_L1D), (6, LEVEL_L1D), (7, LEVEL_L2),
+                            (8, LEVEL_LLC)], 10)
+        events = h.l1d.events.events()
+        assert pf_events(h) == [("pf_drop", 10, 5, "L1D"),
+                                ("pf_issue", 10, 6, "L1D"),
+                                ("pf_drop", 10, 7, "L2"),
+                                ("pf_issue", 10, 8, "LLC")]
+        # Each issue comes before the fills its walk makes.
+        kinds = [(kind, block, unit) for kind, _, block, unit in events]
+        assert kinds == [("pf_drop", 5, "L1D"), ("pf_issue", 6, "L1D"),
+                         ("pf_fill", 6, "LLC"), ("pf_fill", 6, "L2"),
+                         ("pf_fill", 6, "L1D"), ("pf_drop", 7, "L2"),
+                         ("pf_issue", 8, "LLC"), ("pf_fill", 8, "LLC")]
+
+    @pytest.mark.parametrize("level", [LEVEL_L1D, LEVEL_L2, LEVEL_LLC])
+    def test_an_issue_is_seen_by_the_next_request(self, level):
+        # The throttle is evaluated once per call, and again after a
+        # request enters the memory system: the first prefetch's DRAM
+        # read takes the channel past the margin, so the second one of
+        # the same call is dropped.
+        h = make_hierarchy()
+        at_backlog_margin(h, 100)
+        h.issue_prefetches([(5, level), (6, level)], 100)
+        stats = h.levels()[level].stats
+        assert (stats.prefetches_issued, stats.prefetches_dropped) == (1, 1)
+        assert h.levels()[level].contains(5)
+
+    def test_an_l1d_issue_can_demote_the_next_request(self):
+        # Seven of 16 L1D MSHRs busy: the first L1D prefetch takes the
+        # eighth, so the second one of the call is demoted to the L2.
+        h = make_hierarchy()
+        for i in range(7):
+            h.demand_load(1000 + i * 64, 0, timestamp=i)
+        h.issue_prefetches([(5, LEVEL_L1D), (6, LEVEL_L1D)], 1)
+        assert h.l1d.stats.prefetches_issued == 1
+        assert h.l2.stats.prefetches_issued == 1
+        assert h.l1d.contains(5) and not h.l1d.contains(6)
+        assert h.l2.contains(6)
+
+    def test_keyed_llc(self):
+        """rand-llc: the LLC's drop check finds a line through the keyed
+        set index."""
+        h = MemoryHierarchy(randomized_llc_params(baseline()))
+        sets = h.params.llc.sets
+        h.llc.insert(3 * sets, 0)
+        h.issue_prefetches([(3 * sets, LEVEL_LLC), (5 * sets, LEVEL_LLC),
+                            (5 * sets, LEVEL_LLC)], 10)
+        assert h.llc.stats.prefetches_issued == 1
+        assert h.llc.stats.prefetches_dropped == 2
+        assert h.llc.contains(5 * sets)
+
+    @staticmethod
+    def _state(h):
+        return ([level.stats.snapshot() for level in h.levels()],
+                h.dram.stats.snapshot(), h.dram._bus_free,
+                h.dram._bus_free_low)
+
+    @settings(max_examples=60, deadline=None)
+    @given(calls=st.lists(st.tuples(
+        st.integers(0, 40),
+        st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 2)),
+                 max_size=24)), max_size=30),
+        keyed=st.booleans(), backlogged=st.booleans())
+    def test_one_call_matches_one_request_at_a_time(self, calls, keyed,
+                                                    backlogged):
+        """Evaluating the throttle and the demotion once per call, and
+        again only after a request enters, equals evaluating them for
+        every request: same counters, DRAM cursors and events."""
+        params = randomized_llc_params(baseline()) if keyed \
+            else baseline()
+        batched, single = self.traced(params), self.traced(params)
+        if backlogged:
+            # Saturate the low-priority DRAM lane, as a prefetch burst
+            # would.
+            for h in (batched, single):
+                for i in range(100):
+                    h.dram.access(i * 4096, 0, False)
+        time = 0
+        for gap, requests in calls:
+            time += gap
+            batched.issue_prefetches(requests, time)
+            for block, fill_level in requests:
+                single.issue_prefetch(block, time, fill_level)
+            assert self._state(batched) == self._state(single)
+        assert batched.l1d.events.events() == single.l1d.events.events()
 
 
 class TestFlush:

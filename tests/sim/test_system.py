@@ -1,16 +1,11 @@
 """Single-core System: end-to-end runs, training modes, measurement."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core.timely import TimelyPrefetcher
-from repro.obs import ObsConfig
 from repro.prefetchers import (MODE_ON_ACCESS, MODE_ON_COMMIT,
                                make_prefetcher)
 from repro.prefetchers.base import Prefetcher, PrefetchRequest
-from repro.security.mitigations import randomized_llc_params
-from repro.sim.params import baseline
 from repro.sim.system import System
 from repro.workloads.synthetic import pointer_chase_trace
 from repro.workloads.trace import (FLAG_BRANCH, FLAG_LOAD, FLAG_MISPREDICT,
@@ -345,50 +340,3 @@ class TestBatchedCommitDrain:
                       "commit_refetches"):
             assert getattr(batched.gm, field) == \
                 getattr(reference.gm, field), field
-
-
-class TestPrefetchIssuer:
-    """``System._make_issuer``'s closure inlines
-    ``MemoryHierarchy.issue_prefetch``, evaluating its DRAM backlog
-    throttle and L1D-MSHR demotion test once per call and again only
-    after a request enters the memory system.  It must charge exactly
-    what the per-request reference charges and, with events attached,
-    emit the same events in the same order: drops (the DRAM-backlog
-    throttle's too) and issues, also into the rand-llc keyed LLC."""
-
-    @staticmethod
-    def _state(system):
-        h = system.hierarchy
-        return ([level.stats.snapshot() for level in (h.l1d, h.l2, h.llc)],
-                h.dram.stats.snapshot(), h.dram._bus_free,
-                h.dram._bus_free_low)
-
-    @settings(max_examples=60, deadline=None)
-    @given(calls=st.lists(st.tuples(
-        st.integers(0, 40),
-        st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 2)),
-                 max_size=24)), max_size=30),
-        traced=st.booleans(), keyed=st.booleans(),
-        backlogged=st.booleans())
-    def test_closure_matches_the_reference(self, calls, traced, keyed,
-                                           backlogged):
-        obs = ObsConfig(trace_events=traced, trace_capacity=1 << 16)
-        params = randomized_llc_params(baseline()) if keyed else None
-        flat = System(params, obs=obs)
-        reference = System(params, obs=obs)
-        if backlogged:
-            # Saturate the low-priority DRAM lane, as a prefetch burst
-            # would.
-            for system in (flat, reference):
-                for i in range(100):
-                    system.hierarchy.dram.access(i * 4096, 0, False)
-        issue = flat._make_issuer()
-        time = 0
-        for gap, requests in calls:
-            time += gap
-            issue(requests, time)
-            for block, fill_level in requests:
-                reference.hierarchy.issue_prefetch(block, time, fill_level)
-            assert self._state(flat) == self._state(reference)
-        if traced:
-            assert flat.events.events() == reference.events.events()

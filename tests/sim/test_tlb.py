@@ -52,10 +52,12 @@ class TestTranslation:
         assert tlb.stats.stlb_misses == 80
 
     def test_block_translation(self):
+        # A 64-byte block's address is ``block << 6``: blocks 0-63 share
+        # page 0, block 64 starts the next page.
         tlb = make_tlb()
-        tlb.translate_block(0)      # block 0 -> page 0
-        assert tlb.translate_block(63) == 0   # still page 0
-        assert tlb.translate_block(64) > 0    # next page
+        tlb.translate(0 << 6)
+        assert tlb.translate(63 << 6) == 0
+        assert tlb.translate(64 << 6) > 0
 
     def test_disabled_costs_nothing(self):
         tlb = make_tlb(enabled=False)

@@ -85,7 +85,7 @@ class TestCommands:
 
     def test_multicore(self, capsys):
         assert main(["multicore", "--mixes", "1", "--loads", "1200",
-                     "--cores", "2"]) == 0
+                     "--cores", "2", "--no-store"]) == 0
         out = capsys.readouterr().out
         assert "weighted speedup" in out and "average" in out
 
