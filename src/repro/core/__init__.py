@@ -9,7 +9,7 @@ from .timely import (BINGO_LATENESS_THRESHOLD, LATENESS_THRESHOLD,
                      LatenessMonitor, PhaseChangeDetector, TimelyPrefetcher,
                      make_timely)
 from .tsb import TSBPrefetcher
-from .xlq import XLQ, XLQEntry
+from .xlq import XLQ
 
 __all__ = [
     "CAT_COMMIT_LATE", "CAT_LATE", "CAT_MISSED_OPPORTUNITY",
@@ -18,5 +18,5 @@ __all__ = [
     "HitLevelQueue", "SUFDecision", "suf_decide",
     "BINGO_LATENESS_THRESHOLD", "LATENESS_THRESHOLD", "LatenessMonitor",
     "PhaseChangeDetector", "TimelyPrefetcher", "make_timely",
-    "TSBPrefetcher", "XLQ", "XLQEntry",
+    "TSBPrefetcher", "XLQ",
 ]

@@ -7,7 +7,10 @@ refresh LRU bits, and on-commit write propagation walks up the hierarchy
 until it finds a level that already has the line.
 
 SUF records, in a 2-bit *hit level* per load-queue entry, which level served
-the data at access time.  At commit:
+the data at access time; only the entry's own load reads it, at its commit.
+The simulator carries the level in the commit payload it queues for the
+load (``repro.sim.system``), so this module keeps the rule and the storage
+budget.  At commit:
 
 * hit level ``00`` (L1D or GM) -> **drop** the update entirely;
 * hit level ``01`` (L2)        -> move GM->L1D, but do not propagate further;
@@ -29,7 +32,7 @@ security problem, since dropped updates concern clean, committed data).
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import NamedTuple
 
 #: The 2-bit hit-level encoding (Section IV).  These values equal the
 #: hierarchy-level indices of ``repro.sim.cache`` (asserted by tests); they
@@ -64,31 +67,18 @@ def suf_decide(hit_level: int) -> SUFDecision:
 
 
 class HitLevelQueue:
-    """The LQ-side SUF storage: a 2-bit hit level per load-queue entry.
+    """SUF's storage budget: a 2-bit hit level per load-queue entry.
 
     Step 1 of Fig. 7: the level that served a load is propagated down with
-    the response and latched here; the commit stage reads it to drive
-    :func:`suf_decide`.
+    the response and latched in the load's LQ entry; the commit stage
+    reads it to drive :func:`suf_decide`.  The L1D lines add the 1-bit
+    writeback flag.
     """
 
     def __init__(self, lq_entries: int = 128,
                  l1d_lines: int = 768) -> None:
         self.lq_entries = lq_entries
         self.l1d_lines = l1d_lines
-        self._levels: List[int] = [HIT_DRAM] * lq_entries
-
-    def record(self, slot: int, hit_level: int) -> None:
-        if not 0 <= hit_level <= HIT_DRAM:
-            raise ValueError(f"hit level {hit_level} does not fit in 2 bits")
-        self._levels[slot % self.lq_entries] = hit_level
-
-    def read(self, slot: int) -> int:
-        return self._levels[slot % self.lq_entries]
-
-    def flush(self) -> None:
-        """Clear on pipeline flush / domain switch (conservative default)."""
-        for i in range(self.lq_entries):
-            self._levels[i] = HIT_DRAM
 
     def storage_bits(self) -> int:
         """0.03 KB at the LQ + 0.09 KB of L1D writeback bits = 0.12 KB."""

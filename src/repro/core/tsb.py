@@ -13,16 +13,17 @@ In this reproduction the mechanism splits naturally: the Berti learning rule
 (:class:`~repro.prefetchers.berti.BertiPrefetcher`) already computes its
 timeliness window from the ``access_cycle`` and ``fetch_latency`` fields of
 each :class:`~repro.prefetchers.base.TrainingEvent`; the simulator's commit
-stage builds those events from the X-LQ when TSB is selected (see
-``repro.sim.system``).  :class:`TSBPrefetcher` pins down the configuration
-and accounts for the extra 0.47 KB of X-LQ storage (3.01 KB total over a
-prefetcher-less system).
+stage builds those events from each load's X-LQ fields when TSB is selected
+(see ``repro.sim.system``).  :class:`TSBPrefetcher` pins down the
+configuration and accounts for the extra 0.47 KB of X-LQ storage (3.01 KB
+total over a prefetcher-less system).
 
-Security (Section V-C): TSB trains and triggers only at commit; the X-LQ is
-flushed on domain switches; an entry is readable only by its own load at its
-own commit.  Under GhostMinion's strictness ordering a transient instruction
-cannot perturb the fill latency of a bound-to-commit instruction, so the
-stored latency carries no transient information.
+Security (Section V-C): TSB trains and triggers only at commit; an X-LQ
+entry is readable only by its own load at its own commit, and the simulator
+carries it in that load's commit payload, so none outlives the commit into
+another domain.  Under GhostMinion's strictness ordering a transient
+instruction cannot perturb the fill latency of a bound-to-commit
+instruction, so the stored latency carries no transient information.
 """
 
 from __future__ import annotations
@@ -40,14 +41,9 @@ class TSBPrefetcher(BertiPrefetcher):
 
     def __init__(self, lq_entries: int = 128) -> None:
         super().__init__()
-        #: The X-LQ itself lives with the core's load queue; the simulator
-        #: instantiates and drives it.  Kept here for storage accounting and
-        #: for unit tests that exercise TSB standalone.
-        self.xlq = XLQ(lq_entries)
-
-    def flush(self) -> None:
-        super().flush()
-        self.xlq.flush()
+        #: The X-LQ lives with the core's load queue; TSB accounts for
+        #: its storage.
+        self.lq_entries = lq_entries
 
     def storage_bits(self) -> int:
-        return super().storage_bits() + self.xlq.storage_bits()
+        return super().storage_bits() + XLQ(self.lq_entries).storage_bits()

@@ -1,32 +1,40 @@
 """X-LQ: the extended load queue used by TSB (Section V-C).
 
-The X-LQ shadows the load queue one-to-one (128 entries, indexed by LQ entry
-id) and preserves, across the speculative phase, the two facts naive
-on-commit Berti loses:
+The X-LQ extends each load-queue entry (128 entries, one per LQ entry)
+with the two facts naive on-commit Berti loses across the speculative
+phase:
 
 * the **access timestamp** (16 bits of the core clock) -- when the load
   actually needed its data;
-* the **fetch latency** to the GM (12 bits) -- the true cost of bringing the
-  line in, not the 1-cycle GM->L1D on-commit write.
+* the **fetch latency** to the GM (12 bits, saturating) -- the true cost
+  of bringing the line in, not the 1-cycle GM->L1D on-commit write.
 
-On an L1D miss the entry is validated and the access timestamp latched; when
-the fill reaches the GM the latency is recorded.  On a hit to a prefetched
-line the ``hitp`` bit is set and the latency of that prefetched line is
-copied in.  At commit, the owning load (and only it -- entries are private
-to their LQ slot) reads its entry to train TSB, then the entry is
-invalidated.  The whole structure is flushed on a domain switch so no
-transient timing survives into another protection domain.
+On an L1D miss the entry is validated and the access timestamp and fetch
+latency are latched.  On a hit to a prefetched line the ``hitp`` bit is
+set and the latency of that prefetched line is copied in.  A plain L1D
+hit leaves the entry invalid.  At commit the owning load, and only it,
+reads its entry to train TSB.
 
-Timestamps are stored in 16 bits; the reconstruction in :meth:`read` assumes
-the access happened within 2^16 cycles of commit, which the ROB lifetime
-guarantees (and which unit tests exercise across wraparound).
+The simulator keeps no array for it.  ``System._stepper`` puts each
+committed load's fields, ``(issue_time & TS_MASK, min(latency,
+LAT_MASK), hitp)`` or ``None`` for a plain hit, into the commit payload
+it queues for that load, and the commit drain rebuilds the training
+event from them.  An entry is therefore private to its load whatever the
+LQ size, and none outlives its load's commit, so no transient timing
+can reach another protection domain and there is nothing to flush on a
+domain switch.
 
-Storage: 128 x (1 valid + 1 hitp + 16 timestamp + 12 latency) = 0.47 KB.
+Timestamps are stored in 16 bits.  The drain's reconstruction,
+``commit - ((commit - ts) & TS_MASK)``, assumes the access happened
+within 2^16 cycles of commit, which the ROB lifetime guarantees.
+tests/core/test_xlq.py runs ``System`` past cycle 3 x 2^16 and with DRAM
+latencies beyond 12 bits.
+
+This module keeps the field widths and the storage budget:
+128 x (1 valid + 1 hitp + 16 timestamp + 12 latency) = 0.47 KB.
 """
 
 from __future__ import annotations
-
-from typing import List, NamedTuple, Optional
 
 TS_BITS = 16
 TS_MASK = (1 << TS_BITS) - 1
@@ -34,86 +42,11 @@ LAT_BITS = 12
 LAT_MASK = (1 << LAT_BITS) - 1
 
 
-class XLQEntry(NamedTuple):
-    """Decoded view of one X-LQ entry at commit time."""
-
-    #: Reconstructed absolute access cycle.
-    access_cycle: int
-    #: True fetch latency to the GM, in cycles.
-    fetch_latency: int
-    #: The access hit a prefetched line (Hitp).
-    prefetch_hit: bool
-
-
-class _Slot:
-    __slots__ = ("valid", "hitp", "ts", "latency")
-
-    def __init__(self) -> None:
-        self.valid = False
-        self.hitp = False
-        self.ts = 0
-        self.latency = 0
-
-
 class XLQ:
-    """The dual-ported extended load queue."""
+    """The X-LQ's storage budget: one entry per load-queue entry."""
 
     def __init__(self, entries: int = 128) -> None:
         self.entries = entries
-        self._slots: List[_Slot] = [_Slot() for _ in range(entries)]
-
-    # ------------------------------------------------------------------
-    # speculative-phase writes
-    # ------------------------------------------------------------------
-
-    def record_miss(self, slot: int, access_cycle: int) -> None:
-        """L1D miss: validate the entry and latch the access timestamp."""
-        entry = self._slots[slot % self.entries]
-        entry.valid = True
-        entry.hitp = False
-        entry.ts = access_cycle & TS_MASK
-        entry.latency = 0
-
-    def record_fill(self, slot: int, fetch_latency: int) -> None:
-        """The fill reached the GM: record the true fetch latency."""
-        entry = self._slots[slot % self.entries]
-        if entry.valid:
-            entry.latency = min(fetch_latency, LAT_MASK)
-
-    def record_prefetch_hit(self, slot: int, access_cycle: int,
-                            line_latency: int) -> None:
-        """Hit on a prefetched line: set Hitp and copy the line's latency."""
-        entry = self._slots[slot % self.entries]
-        entry.valid = True
-        entry.hitp = True
-        entry.ts = access_cycle & TS_MASK
-        entry.latency = min(line_latency, LAT_MASK)
-
-    # ------------------------------------------------------------------
-    # commit-time read
-    # ------------------------------------------------------------------
-
-    def read(self, slot: int, commit_cycle: int) -> Optional[XLQEntry]:
-        """Read-and-invalidate the slot's entry at commit.
-
-        Returns ``None`` for invalid entries (regular L1D hits take no
-        training action, Section V-C).  Only the committing load's own slot
-        is ever passed here, modelling the X-LQ's isolation property.
-        """
-        entry = self._slots[slot % self.entries]
-        if not entry.valid:
-            return None
-        entry.valid = False
-        age = (commit_cycle - entry.ts) & TS_MASK
-        return XLQEntry(commit_cycle - age, entry.latency, entry.hitp)
-
-    def flush(self) -> None:
-        """Domain switch: no transient timing may cross domains."""
-        for entry in self._slots:
-            entry.valid = False
-
-    def occupancy(self) -> int:
-        return sum(1 for entry in self._slots if entry.valid)
 
     def storage_bits(self) -> int:
         return self.entries * (1 + 1 + TS_BITS + LAT_BITS)

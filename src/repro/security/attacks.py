@@ -159,10 +159,12 @@ def _covert_trace(secret_bits: Sequence[int], victim_ip: int,
 
 
 def _domain_flush(system: System) -> None:
-    """Victim -> attacker domain switch: drop all speculative state."""
+    """Victim -> attacker domain switch: drop all speculative state.
+
+    The X-LQ needs no flush: its fields travel with each load to that
+    load's commit, so none outlives it.
+    """
     system.hierarchy.flush_speculative()
-    if system.xlq is not None:
-        system.xlq.flush()
 
 
 def _probe_telltales(system: System, region_blocks: Sequence[int],

@@ -76,15 +76,16 @@ class AccessObfuscationShim(Prefetcher):
         self.name = f"prefender({inner.name})"
         self.train_level = inner.train_level
         #: TSB-style prefetchers advertise ``requires_xlq``; forward it so
-        #: the system still provisions the X-LQ for the wrapped instance.
+        #: the system still trains the wrapped instance at commit from
+        #: each load's X-LQ fields.
         self.requires_xlq = bool(getattr(inner, "requires_xlq", False))
         #: ip -> [base_block, accesses_in_run, last_block]
         self._streams: "OrderedDict[int, List[int]]" = OrderedDict()
 
     def __getattr__(self, attr):
         # Transparent delegation for prefetcher-specific surface the
-        # system discovers by duck typing (TSB's ``xlq``, the TS
-        # wrappers' ``note_demand`` lateness feedback, ...).
+        # system discovers by duck typing (the TS wrappers'
+        # ``note_demand`` lateness feedback, ...).
         return getattr(self.inner, attr)
 
     # ------------------------------------------------------------------

@@ -14,14 +14,18 @@ access-time and commit-time event streams in global time order.
 
 :class:`CoreModel` holds the core's state between runs of the simulate
 loop (``System._stepper``), which applies the rules per record on local
-copies and writes them back at every yield, sample and warm-up reset:
+copies and writes them back once per block of records, before the
+block's yield, sample or warm-up reset:
 
 * dispatch: ``issue_width`` records per cycle in program order; a
   committed-path record waits for the oldest ROB entry to retire when the
   ROB is full, and the first one after a mispredict waits for its
   redirect (resolution plus ``mispredict_penalty``);
 * load queue: a load issues ``load_issue_latency`` after dispatch, or
-  when the oldest LQ entry's load completes if the LQ is full;
+  when the oldest LQ entry's load completes if the LQ is full.  The
+  entry's SUF hit level and X-LQ fields are not state here: the stepper
+  queues them with the load's commit action, so each load reads only its
+  own at its commit, whatever the LQ size;
 * retire: in order, ``retire_width`` per cycle, no earlier than the
   record's completion or a cycle after its dispatch.
 
@@ -49,7 +53,6 @@ class CoreModel:
         self._rob: Deque[int] = deque()
         #: Completion times of in-flight loads (LQ), wrong-path included.
         self._lq: Deque[int] = deque()
-        self._load_seq = 0
         self.final_retire = 0
         # Read once per run by the simulate loop.
         self._rob_entries = params.rob_entries

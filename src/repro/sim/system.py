@@ -29,15 +29,22 @@ training mode decides which one the prefetcher sees:
 The paper's two mechanisms hook into the commit path:
 
 * **SUF** (Section IV): at access time the serving level (GM/L1D/L2+) is
-  recorded in 2 bits in the LQ (:class:`~repro.core.suf.HitLevelQueue`);
-  at commit, :func:`~repro.core.suf.suf_decide` uses it to drop or
-  truncate the redundant commit-time hierarchy update before it spends
-  L1D ports/MSHRs.
-* **TSB** (Section V): at access time the true issue cycle and fetch
-  latency are stored in the X-LQ (:class:`~repro.core.xlq.XLQ`); at
-  commit the :class:`TrainingEvent` is reconstructed with those values,
-  so Berti's delta timing reflects *access-time* reality even though
-  training happens at commit.
+  recorded in 2 bits in the load's LQ entry
+  (:class:`~repro.core.suf.HitLevelQueue` gives its storage); at commit,
+  :func:`~repro.core.suf.suf_decide` uses it to drop or truncate the
+  redundant commit-time hierarchy update before it spends L1D
+  ports/MSHRs.
+* **TSB** (Section V): at access time the issue cycle's low 16 bits and
+  the fetch latency, saturated at 12 bits, are latched in the load's
+  X-LQ entry (:mod:`repro.core.xlq` gives the widths); at commit the
+  :class:`TrainingEvent` is rebuilt from them, so Berti's delta timing
+  reflects *access-time* reality even though training happens at commit.
+
+Both live in the load's own LQ entry, which only that load reads, at its
+commit.  The stepper models the entry as the commit payload it queues
+for the load (``(ip, block, hit_level, xlq, meta)``), so no load can
+read another's fields whatever the LQ size, and the X-LQ needs no flush
+on a domain switch: nothing of it outlives its load's commit.
 
 Performance note: there is one simulate loop, :meth:`System._stepper`.
 It runs over the trace's prescanned plan (:mod:`repro.sim.batch`) and
@@ -49,8 +56,8 @@ prefetcher's requests to the hierarchy's one prefetch issuer
 (``MemoryHierarchy.issue_prefetches``, through
 :meth:`System._make_issuer`).  The loop itself runs the core's timing
 rules (dispatch, load queue, retire; :mod:`repro.sim.cpu` holds their
-state), the hit-level and X-LQ records and the dTLB hit, with all
-per-record state in locals.  docs/PERFORMANCE.md has the inventory;
+state), the load's hit level and X-LQ fields and the dTLB hit, with
+all per-record state in locals.  docs/PERFORMANCE.md has the inventory;
 tests/sim/test_golden_stats.py pins the statistics bit for bit.  The
 ``rand-llc`` LLC keys its set index inside its own set array
 (``CacheParams.keyed_index``), so neither the loop nor the issuer has a
@@ -68,7 +75,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.classification import MissClassifier
 from ..core.suf import HitLevelQueue, suf_decide
-from ..core.xlq import LAT_MASK, TS_MASK, XLQ
+from ..core.xlq import LAT_MASK, TS_MASK
 from ..obs import EventTrace, IntervalSampler, MetricRegistry, ObsConfig
 from ..prefetchers.base import (MODE_ON_ACCESS, MODE_ON_COMMIT, Prefetcher,
                                 TrainingEvent)
@@ -166,8 +173,8 @@ class System:
         Enable the Secure Update Filter (requires ``secure``).
     prefetcher:
         A :class:`Prefetcher` instance, or ``None``.  TSB instances (with a
-        ``requires_xlq`` attribute) automatically get X-LQ-sourced training
-        events.
+        ``requires_xlq`` attribute) train at commit on events rebuilt from
+        each load's X-LQ fields.
     train_mode:
         ``"on-access"`` or ``"on-commit"``.
     shadow:
@@ -213,15 +220,9 @@ class System:
         self.core_stats = CoreStats()
         self.tlb = TLBHierarchy(params.tlb)
 
-        #: SUF's LQ-side hit-level storage (step 1 of Fig. 7).
-        self.hit_levels = HitLevelQueue(params.core.lq_entries,
-                                        params.l1d.blocks) if suf else None
-        #: TSB's X-LQ: instantiated when the prefetcher asks for it.
+        #: TSB's X-LQ: on-commit training events come from the fields
+        #: each load carries to its commit.
         self.use_xlq = bool(getattr(prefetcher, "requires_xlq", False))
-        self.xlq: Optional[XLQ] = getattr(prefetcher, "xlq", None) \
-            if self.use_xlq else None
-        if self.use_xlq and self.xlq is None:
-            self.xlq = XLQ(params.core.lq_entries)
 
         self.classifier = MissClassifier(
             shadow, commit_mode=(train_mode == MODE_ON_COMMIT)) \
@@ -320,15 +321,18 @@ class System:
         timing (dispatch / LQ / retire) runs on local copies of
         :class:`~repro.sim.cpu.CoreModel`'s state, and each load makes
         one hierarchy call.  The locals are written back to
-        ``self.core`` at every yield, sample, and warm-up reset, so
-        external readers (``MulticoreSystem``'s ``current_cycle``
-        ordering, the interval sampler's occupancy probes,
-        :meth:`finalize`) always observe coherent state.
+        ``self.core`` once per block, before its boundary action
+        (yield, sample, warm-up reset), so external readers
+        (``MulticoreSystem``'s ``current_cycle`` ordering, the interval
+        sampler's occupancy probes, :meth:`finalize`) always observe
+        coherent state.
 
         Committed and wrong-path loads run one pipeline.  ``wrong`` is
         tested only where a transient load behaves differently: the
         delay-on-miss squash, usefulness marking, the GM fill's transient
-        flag, the SUF / X-LQ / TS bookkeeping it skips, and retire.
+        flag, the TS feedback it skips, and retire (a wrong-path load
+        queues no commit payload, so it carries no hit level or X-LQ
+        fields).
         """
         plan = plan_for(trace)
         n = plan.n
@@ -352,7 +356,7 @@ class System:
         core = self.core
         stats = self.core_stats
         # Core counters, localized like the cursors below; written back
-        # with them at every sync point.
+        # with them after every block.
         n_instr = stats.committed_instructions
         n_loads = stats.committed_loads
         n_stores = stats.committed_stores
@@ -398,7 +402,6 @@ class System:
         dispatch_slot = core._dispatch_slot
         retire_cycle = core._retire_cycle
         retire_slot = core._retire_slot
-        load_seq = core._load_seq
         final_retire = core.final_retire
 
         hierarchy = self.hierarchy
@@ -427,20 +430,8 @@ class System:
         classifier = self.classifier
         on_access = self.train_mode == MODE_ON_ACCESS
         ts_feedback = self._ts_feedback
-        hit_levels = self.hit_levels
-        if hit_levels is not None:
-            # HitLevelQueue.record, inlined below: the 2-bit range check
-            # is vacuous (the sim only produces levels 0..3), leaving a
-            # modulo and a list store per committed load.
-            hl_levels = hit_levels._levels
-            hl_entries = hit_levels.lq_entries
-        xlq = self.xlq
-        if xlq is not None:
-            # XLQ.record_miss + record_fill, fused and inlined: the fill
-            # always follows its miss immediately here, so the validity
-            # re-check inside record_fill is vacuous.
-            xlq_slots = xlq._slots
-            xlq_entries = xlq.entries
+        # Only on-commit training reads a load's X-LQ fields.
+        carry_xlq = self.use_xlq and not on_access
         commit_loads = self._commit_loads
         issue_requests = self._issuer
         if issue_requests is None:
@@ -563,7 +554,6 @@ class System:
                             # sent -- squashed, its LQ entry freed a cycle
                             # after issue.
                             lq_append(issue_time + 1)
-                            load_seq += 1
                             n_wrong_loads += 1
                             continue
                         issue_time = delay_policy.issue_time(issue_time,
@@ -577,14 +567,14 @@ class System:
                         merged2_pre = l2_stats.demand_merged_into_prefetch
                         useful2_pre = l2_stats.prefetches_useful
                     if secure:
-                        # A wrong-path GM fill is transient.
-                        completion, hit_level, gm_hit = speculative_load(
+                        # A wrong-path GM fill is transient.  A GM hit
+                        # reads level 0, as an L1D hit does.
+                        completion, hit_level, _ = speculative_load(
                             block, issue_time, seq_base + j + 1, not wrong)
                     else:
                         completion, hit_level = l1d_access(
                             block, issue_time, REQ_LOAD, True, True,
                             not wrong)
-                        gm_hit = False
                     if track:
                         late_l1 = l1_stats.demand_merged_into_prefetch \
                             > merged1_pre
@@ -593,32 +583,14 @@ class System:
                             > merged2_pre
                         useful_l2 = l2_stats.prefetches_useful > useful2_pre
                     fetch_latency = completion - issue_time
-                    # The LQ entry frees at completion; LQ slot ids
-                    # (hit-level queue, X-LQ) rotate in load order.
+                    # The LQ entry's occupancy ends at completion; its
+                    # hit level and X-LQ fields go with the commit
+                    # payload below.
                     lq_append(completion)
-                    slot = load_seq % lq_entries
-                    load_seq += 1
                     miss_l1 = hit_level >= 1
-
-                    if hit_levels is not None and not wrong:
-                        hl_levels[slot % hl_entries] = hit_level
 
                     if track:
                         miss_l2 = hit_level >= 2
-
-                        if xlq is not None and not wrong:
-                            if miss_l1 and not gm_hit:
-                                entry = xlq_slots[slot % xlq_entries]
-                                entry.valid = True
-                                entry.hitp = False
-                                entry.ts = issue_time & TS_MASK
-                                entry.latency = min(fetch_latency, LAT_MASK)
-                            elif useful_l1:
-                                line = l1d.lookup(block)
-                                line_latency = line.latency \
-                                    if line is not None else fetch_latency
-                                xlq.record_prefetch_hit(slot, issue_time,
-                                                        line_latency)
 
                         if classifier is not None or on_access:
                             # Under on-commit training without a
@@ -681,11 +653,32 @@ class System:
                     if retire_cycle > final_retire:
                         final_retire = retire_cycle
                     if commit_loads:
-                        meta = (miss_l1, miss_l2, late_l1, late_l2,
-                                useful_l1, useful_l2) if track \
-                            else _NO_PF_META
+                        # The X-LQ fields (Section V-C): an L1D miss
+                        # latches its access cycle and fetch latency, a
+                        # hit on a prefetched line sets Hitp and copies
+                        # that line's latency, a plain L1D or GM hit
+                        # takes no entry (None).
+                        xlq = None
+                        if track:
+                            meta = (miss_l1, miss_l2, late_l1, late_l2,
+                                    useful_l1, useful_l2)
+                            if carry_xlq:
+                                if miss_l1:
+                                    xlq = (issue_time & TS_MASK,
+                                           min(fetch_latency, LAT_MASK),
+                                           False)
+                                elif useful_l1:
+                                    line = l1d.lookup(block)
+                                    line_latency = line.latency \
+                                        if line is not None \
+                                        else fetch_latency
+                                    xlq = (issue_time & TS_MASK,
+                                           min(line_latency, LAT_MASK),
+                                           True)
+                        else:
+                            meta = _NO_PF_META
                         commit_append((retire_cycle, True,
-                                       (ips[j], block, hit_level, slot,
+                                       (ips[j], block, hit_level, xlq,
                                         meta)))
                         if retire_cycle < next_commit:
                             next_commit = retire_cycle
@@ -734,24 +727,32 @@ class System:
                         final_retire = retire_cycle
                 # C_WRONG_OTHER: nothing further.
 
-            # Block accounting, then the boundary actions: a warm-up reset
-            # takes precedence over a coinciding sample; a coinciding
-            # yield still fires.
+            # Block accounting and the locals' write-back, then the
+            # boundary actions: a warm-up reset takes precedence over a
+            # coinciding sample; a coinciding yield still fires.  Every
+            # block ends at a boundary or at the trace's end, so this is
+            # the loop's only write-back.
             new_committed = cum[stop - 1]
             delta = new_committed - committed
             committed = new_committed
             n_instr += delta
             i = stop
+            self._seq = seq_base + stop
+            self._pending_redirect = pending_redirect
+            stats.committed_instructions = n_instr
+            stats.committed_loads = n_loads
+            stats.committed_stores = n_stores
+            stats.wrong_path_loads = n_wrong_loads
+            stats.branch_mispredicts = n_mispredicts
+            core._dispatch_cycle = dispatch_cycle
+            core._dispatch_slot = dispatch_slot
+            core._retire_cycle = retire_cycle
+            core._retire_slot = retire_slot
+            core.final_retire = final_retire
             if chunk:
                 since_yield += delta
             if not warmed and committed >= warmup_target:
                 warmed = True
-                core._dispatch_cycle = dispatch_cycle
-                core._dispatch_slot = dispatch_slot
-                core._retire_cycle = retire_cycle
-                core._retire_slot = retire_slot
-                core._load_seq = load_seq
-                core.final_retire = final_retire
                 self._reset_measurement()
                 n_instr = stats.committed_instructions
                 n_loads = stats.committed_loads
@@ -761,48 +762,11 @@ class System:
                 if sampler is not None:
                     sample_at = sampler.next_at
             elif n_instr >= sample_at:
-                stats.committed_instructions = n_instr
-                stats.committed_loads = n_loads
-                stats.committed_stores = n_stores
-                stats.wrong_path_loads = n_wrong_loads
-                stats.branch_mispredicts = n_mispredicts
-                core._dispatch_cycle = dispatch_cycle
-                core._dispatch_slot = dispatch_slot
-                core._retire_cycle = retire_cycle
-                core._retire_slot = retire_slot
-                core._load_seq = load_seq
-                core.final_retire = final_retire
                 sampler.sample(self)
                 sample_at = sampler.next_at
             if chunk and since_yield >= chunk:
                 since_yield = 0
-                self._seq = seq_base + stop
-                self._pending_redirect = pending_redirect
-                stats.committed_instructions = n_instr
-                stats.committed_loads = n_loads
-                stats.committed_stores = n_stores
-                stats.wrong_path_loads = n_wrong_loads
-                stats.branch_mispredicts = n_mispredicts
-                core._dispatch_cycle = dispatch_cycle
-                core._dispatch_slot = dispatch_slot
-                core._retire_cycle = retire_cycle
-                core._retire_slot = retire_slot
-                core._load_seq = load_seq
-                core.final_retire = final_retire
                 yield
-        self._seq = seq_base + n
-        self._pending_redirect = pending_redirect
-        stats.committed_instructions = n_instr
-        stats.committed_loads = n_loads
-        stats.committed_stores = n_stores
-        stats.wrong_path_loads = n_wrong_loads
-        stats.branch_mispredicts = n_mispredicts
-        core._dispatch_cycle = dispatch_cycle
-        core._dispatch_slot = dispatch_slot
-        core._retire_cycle = retire_cycle
-        core._retire_slot = retire_slot
-        core._load_seq = load_seq
-        core.final_retire = final_retire
 
     def finalize(self, trace: Trace) -> SimResult:
         """Complete the run started by :meth:`stepper`; return results."""
@@ -874,12 +838,6 @@ class System:
         # completion is unused.
         store_access = hierarchy._l1d_access
         commit_load = hierarchy.commit_load
-        hit_levels = self.hit_levels
-        has_hl = hit_levels is not None
-        if has_hl:
-            # HitLevelQueue.read, inlined: one modulo + list read.
-            hl_levels = hit_levels._levels
-            hl_entries = hit_levels.lq_entries
         prefetcher = self.prefetcher
         train_commit = prefetcher is not None \
             and self.train_mode == MODE_ON_COMMIT
@@ -901,9 +859,6 @@ class System:
             train = prefetcher.train
             train_l1 = prefetcher.train_level == 0
             use_xlq = self.use_xlq
-            if use_xlq:
-                xlq_slots = self.xlq._slots
-                xlq_entries = self.xlq.entries
             issue_requests = self._issuer
             if issue_requests is None:
                 issue_requests = self._issuer = self._make_issuer()
@@ -923,11 +878,11 @@ class System:
                 if not is_load:
                     store_access(payload, t_ret, REQ_STORE)
                     continue
-                ip, block, hit_level, slot, meta = payload
-                update_latency = commit_load(
-                    block, t_ret,
-                    hl_levels[slot % hl_entries] if has_hl else hit_level,
-                    refetches)
+                # The load's own LQ entry: its hit level drives SUF, its
+                # X-LQ fields TSB's training.
+                ip, block, hit_level, xlq, meta = payload
+                update_latency = commit_load(block, t_ret, hit_level,
+                                             refetches)
                 if not train_commit:
                     continue
 
@@ -938,19 +893,19 @@ class System:
                 # Naive on-commit training observes commit-ordered timestamps
                 # and the on-commit update latency (the misleading value of
                 # Section V-B).  With the X-LQ (TSB), the preserved access
-                # time and GM fetch latency are used instead (XLQ.read,
-                # inlined: read-and-invalidate the committing load's slot).
+                # time and GM fetch latency are used instead: the access
+                # cycle comes back from its low 16 bits, which holds while
+                # the access is less than 2^16 cycles before commit.
                 if use_xlq:
-                    entry = xlq_slots[slot % xlq_entries]
-                    if not entry.valid:
+                    if xlq is None:
                         # Regular L1D hit: no training action (Section V-C).
                         event = None
                     else:
-                        entry.valid = False
+                        ts, latency, hitp = xlq
                         event = tuple_new(TrainingEvent, (
                             ip, block, hit_level == 0, t_ret,
-                            t_ret - ((t_ret - entry.ts) & TS_MASK),
-                            entry.latency, hit_level, entry.hitp))
+                            t_ret - ((t_ret - ts) & TS_MASK),
+                            latency, hit_level, hitp))
                 else:
                     event = tuple_new(TrainingEvent, (
                         ip, block, hit_level == 0, t_ret, t_ret,
@@ -1022,9 +977,10 @@ class System:
         extras: Dict[str, float] = {}
         if prefetcher is not None:
             extras["prefetcher_storage_kb"] = prefetcher.storage_kb()
-        if self.hit_levels is not None:
-            extras["suf_storage_kb"] = self.hit_levels.storage_bits() \
-                / 8 / 1024
+        if self.suf:
+            extras["suf_storage_kb"] = HitLevelQueue(
+                self.params.core.lq_entries,
+                self.params.l1d.blocks).storage_bits() / 8 / 1024
         if self.delay_policy is not None:
             extras["delayed_loads"] = self.delay_policy.stats.delayed_loads
             extras["avg_delay_cycles"] = \

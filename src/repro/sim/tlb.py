@@ -65,11 +65,6 @@ class TLBStats(StatsStruct):
     dtlb_misses: int = 0
     stlb_misses: int = 0
 
-    def dtlb_miss_rate(self) -> float:
-        if not self.dtlb_accesses:
-            return 0.0
-        return self.dtlb_misses / self.dtlb_accesses
-
 
 class _TLBLevel:
     """A set-associative translation cache (LRU).
@@ -110,48 +105,33 @@ class _TLBLevel:
             del set_[next(iter(set_))]   # front of dict: LRU victim
         set_[page] = None
 
-    def flush(self) -> None:
-        for set_ in self._sets:
-            set_.clear()
-
 
 class TLBHierarchy:
-    """dTLB -> STLB -> page walk."""
+    """dTLB -> STLB -> page walk.
+
+    The simulate loop (``System._stepper``) translates each load: it
+    counts the dTLB access and, on a page change, probes the dTLB set
+    itself (a hit costs nothing: it overlaps the AGU, and moves the page
+    to the back of the set) or adds :meth:`_miss`'s latency to the
+    load's issue time.
+    """
 
     def __init__(self, params: Optional[TLBParams] = None) -> None:
         self.params = params if params is not None else TLBParams()
         self.stats = TLBStats()
         self._dtlb = _TLBLevel(self.params.dtlb)
         self._stlb = _TLBLevel(self.params.stlb)
-        # Hot-path hoists: translate runs once per load, and the dTLB-hit
-        # fast path below reads these instead of chasing params chains.
+        # Hot-path hoists: the stepper's dTLB-hit path reads the set
+        # array, and the miss path the latencies, instead of chasing
+        # params chains.
         self._enabled = self.params.enabled
         self._dtlb_sets = self._dtlb._sets
         self._dtlb_mask = self._dtlb._set_mask
         self._stlb_latency = self.params.stlb.latency
         self._walk_latency = self.params.walk_latency
 
-    def translate(self, vaddr: int) -> int:
-        """Translate one access; returns the added latency in cycles.
-
-        A dTLB hit costs nothing extra (it overlaps the AGU); a dTLB miss
-        pays the STLB latency; an STLB miss additionally pays the walk.
-        """
-        if not self._enabled:
-            return 0
-        page = vaddr >> PAGE_SHIFT
-        self.stats.dtlb_accesses += 1
-        # dTLB hit fast path, inlined (the overwhelmingly common case):
-        # move-to-back keeps dict insertion order == LRU recency order.
-        set_ = self._dtlb_sets[page & self._dtlb_mask]
-        if page in set_:
-            del set_[page]
-            set_[page] = None
-            return 0
-        return self._miss(page)
-
     def _miss(self, page: int) -> int:
-        """dTLB-miss slow path: STLB lookup, then the page-table walk."""
+        """dTLB miss: the STLB latency, plus the walk on an STLB miss."""
         self.stats.dtlb_misses += 1
         if self._stlb.lookup(page):
             self._dtlb.fill(page)
@@ -160,11 +140,6 @@ class TLBHierarchy:
         self._stlb.fill(page)
         self._dtlb.fill(page)
         return self._stlb_latency + self._walk_latency
-
-    def flush(self) -> None:
-        """Full TLB shootdown (context/domain switch)."""
-        self._dtlb.flush()
-        self._stlb.flush()
 
     def reset_stats(self) -> None:
         self.stats.reset()

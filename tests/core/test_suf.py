@@ -1,12 +1,13 @@
-"""The Secure Update Filter: decision rule and LQ-side storage."""
+"""The Secure Update Filter: decision rule, hit levels and storage."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.suf import (HIT_DRAM, HIT_L1D, HIT_L2, HIT_LLC,
                             HitLevelQueue, suf_decide)
 from repro.sim.cache import LEVEL_DRAM, LEVEL_L1D, LEVEL_L2, LEVEL_LLC
+from repro.sim.system import System
+from repro.workloads.trace import Trace, alu, load
 
 
 class TestEncoding:
@@ -53,27 +54,30 @@ class TestDecide:
 
 
 class TestHitLevelQueue:
+    """A load's hit level travels with its commit payload to SUF.
+
+    An LQ lap is checked by ``tests/sim/test_cpu.py::TestLoadQueue::
+    test_suf_reads_each_loads_own_hit_level``, and that the levels are
+    the four 2-bit codes by ``TestEncoding``.
+    """
+
     def test_record_read_roundtrip(self):
-        hlq = HitLevelQueue()
-        hlq.record(5, HIT_LLC)
-        assert hlq.read(5) == HIT_LLC
-
-    def test_slot_wraparound(self):
-        hlq = HitLevelQueue(lq_entries=4)
-        hlq.record(6, HIT_L2)        # slot 6 % 4 == 2
-        assert hlq.read(2) == HIT_L2
-
-    def test_rejects_wide_values(self):
-        hlq = HitLevelQueue()
-        with pytest.raises(ValueError, match="2 bits"):
-            hlq.record(0, 4)
-
-    def test_flush_defaults_conservative(self):
-        hlq = HitLevelQueue()
-        hlq.record(0, HIT_L1D)
-        hlq.flush()
-        # DRAM = full propagation: never drops an update it should not.
-        assert hlq.read(0) == HIT_DRAM
+        """Each level a load read at access drives SUF at its commit:
+        the L1D hit's update is dropped, the L2 and LLC hits' writes
+        stop below their provider, the DRAM miss's propagates fully."""
+        system = System(secure=True, suf=True)
+        hierarchy = system.hierarchy
+        hierarchy.l1d.insert(1, 0)
+        hierarchy.l2.insert(2, 0)
+        hierarchy.llc.insert(3, 0)
+        records = [load(1, block << 6) for block in (1, 2, 3, 4)]
+        gm = system.run(Trace("t", records + [alu(2)] * 20),
+                        warmup=0.0).gm
+        assert gm.commit_drops_suf == 1
+        assert gm.commit_writes == 3
+        assert gm.wb_stopped_suf == 2
+        assert gm.suf_correct == 3
+        assert gm.suf_mispredict == 0
 
     def test_storage_is_paper_012kb(self):
         hlq = HitLevelQueue(lq_entries=128, l1d_lines=768)

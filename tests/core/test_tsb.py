@@ -1,8 +1,9 @@
 """TSB: Timely Secure Berti, end to end through the simulator.
 
 The unit-level Fig. 8 mechanism lives in
-``tests/prefetchers/test_berti.py``; these tests exercise TSB wired into
-the secure system via the X-LQ.
+``tests/prefetchers/test_berti.py`` and the X-LQ fields' widths in
+``tests/core/test_xlq.py``; these tests exercise TSB wired into the
+secure system via the X-LQ.
 """
 
 import pytest
@@ -26,27 +27,23 @@ class TestWiring:
                            False)
 
     def test_system_attaches_xlq(self):
+        """TSB trains on each load's X-LQ fields, which travel with the
+        load's commit payload: the system keeps no X-LQ of its own."""
         sys_ = System(secure=True, prefetcher=TSBPrefetcher(),
                       train_mode=MODE_ON_COMMIT)
-        assert sys_.xlq is not None
         assert sys_.use_xlq
+        assert not hasattr(sys_, "xlq")
 
     def test_plain_berti_has_no_xlq(self):
         sys_ = System(secure=True, prefetcher=make_prefetcher("berti"),
                       train_mode=MODE_ON_COMMIT)
-        assert sys_.xlq is None
+        assert not sys_.use_xlq
 
     def test_storage_includes_xlq(self):
         tsb = TSBPrefetcher()
         berti = make_prefetcher("berti")
         extra_kb = tsb.storage_kb() - berti.storage_kb()
         assert abs(extra_kb - 0.47) < 0.01
-
-    def test_flush_clears_xlq(self):
-        tsb = TSBPrefetcher()
-        tsb.xlq.record_miss(0, 100)
-        tsb.flush()
-        assert tsb.xlq.occupancy() == 0
 
 
 class TestBehaviour:

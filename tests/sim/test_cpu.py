@@ -128,24 +128,39 @@ class TestLoadQueue:
         assert cycles(three) == completion
         assert cycles(three, lq_entries=1) == completion + 2 * l1d_latency
 
-    def test_slot_ids_rotate(self):
-        # SUF reads each committing load's hit level from its LQ slot, so
-        # a wrong slot id shows as a wrong SUF decision.  Two laps of a
-        # 4-entry LQ, each of two L1D hits and two DRAM misses: all four
-        # of a lap are in flight before any commits, and the 4-entry ROB
-        # holds each load of the second lap until its slot's first-lap
-        # load has committed.
-        system = System(make_params(rob_entries=4, lq_entries=4),
+    def test_suf_reads_each_loads_own_hit_level(self):
+        # A load's SUF hit level stays with it until its commit, although
+        # its LQ entry frees at completion.  With 4 LQ entries and 352
+        # ROB entries, the fifth load issues when the DRAM miss completes,
+        # before the miss commits.  SUF must still see the miss's level:
+        # it writes the miss's GM line to the L1D and drops the four L1D
+        # hits' updates, all correctly.
+        system = System(make_params(lq_entries=4, rob_entries=352),
                         secure=True, suf=True)
-        hits = [(lap * 2 + i + 1) * 64 for lap in range(2) for i in range(2)]
+        hits = [(i + 1) * 64 for i in range(4)]
         for block in hits:
             system.hierarchy.l1d.insert(block, 0)
-        records = []
-        for lap in range(2):
-            for i in range(2):
-                records.append(load(1, hits[lap * 2 + i] << 6))
-                records.append(load(2, (1000 + lap * 2 + i) << 12))
-        result = system.run(Trace("t", records), warmup=0.0)
-        assert result.gm.commit_drops_suf == 4  # the L1D hits
-        assert result.gm.commit_writes == 4     # the DRAM misses
-        assert result.gm.commit_refetches == 0
+        records = [load(1, 1000 << 12)]
+        records += [load(2, block << 6) for block in hits]
+        records += [alu(3)] * 20
+        gm = system.run(Trace("t", records), warmup=0.0).gm
+        assert gm.commit_writes == 1
+        assert gm.commit_drops_suf == 4
+        assert gm.suf_mispredict == 0
+
+    def test_xlq_fields_stay_with_their_load(self, xlq_run):
+        # Five DRAM misses through a 4-entry LQ: the fifth issues when the
+        # first completes, before the first commits.  Each commit still
+        # trains TSB on its own load's access cycle and fetch latency.
+        blocks = [(1000 + i) << 6 for i in range(5)]
+        records = [load(1, block << 6) for block in blocks]
+        records += [alu(2)] * 20
+        _, _, access, commit = xlq_run(
+            make_params(lq_entries=4, rob_entries=352), records)
+        own = {event.block: (event.access_cycle, event.fetch_latency)
+               for event in access}
+        assert len(set(own.values())) == 5
+        for event in commit:
+            assert (event.access_cycle, event.fetch_latency) \
+                == own[event.block], event.block
+        assert [event.block for event in commit] == blocks

@@ -1,14 +1,11 @@
-"""TLB hierarchy (Table II "TLBs" row)."""
+"""TLB hierarchy (Table II "TLBs" row), through ``System`` runs."""
 
-from repro.sim.params import baseline
+from dataclasses import replace
+
+from repro.sim.params import CoreParams, baseline
 from repro.sim.system import System
-from repro.sim.tlb import (PAGE_SHIFT, TLBHierarchy, TLBLevelParams,
-                           TLBParams)
+from repro.sim.tlb import PAGE_SHIFT, TLBLevelParams, TLBParams
 from repro.workloads.trace import Trace, load
-
-
-def make_tlb(**kw):
-    return TLBHierarchy(TLBParams(**kw))
 
 
 class TestParams:
@@ -27,58 +24,85 @@ class TestParams:
         assert params.stlb.sets == 128
 
 
+def translated(blocks, tlb=None):
+    """Replay one load per block, each block L1D-resident, through a
+    one-entry LQ, with the TLB ``tlb`` (``None``: Table II's) and with
+    none.  Each load issues when the previous one completes, so a run
+    takes ``1 + sum(translation + L1D latency)`` cycles, and the
+    difference is the translation cycles alone.  Returns that difference
+    and the TLB run's stats."""
+    def run(tlb_params):
+        params = replace(baseline(), core=CoreParams(lq_entries=1),
+                         tlb=tlb_params)
+        system = System(params)
+        for block in blocks:
+            system.hierarchy.l1d.insert(block, 0)
+        return system.run(Trace("t", [load(1, block << 6)
+                                      for block in blocks]), warmup=0.0)
+    on = run(tlb if tlb is not None else TLBParams())
+    off = run(TLBParams(enabled=False))
+    assert off.cycles == 1 + len(blocks) * baseline().l1d.latency
+    return on.cycles - off.cycles, on.tlb
+
+
+def page_block(page):
+    """A block of ``page``, in L1D set ``page % 64``."""
+    return (page << (PAGE_SHIFT - 6)) + page % 64
+
+
+WALK = TLBParams().stlb.latency + TLBParams().walk_latency
+
+
 class TestTranslation:
     def test_cold_miss_pays_walk(self):
-        tlb = make_tlb()
-        latency = tlb.translate(0x1000)
-        assert latency == tlb.params.stlb.latency \
-            + tlb.params.walk_latency
-        assert tlb.stats.stlb_misses == 1
+        delta, stats = translated([page_block(1)])
+        assert delta == WALK
+        assert stats.dtlb_misses == stats.stlb_misses == 1
 
     def test_dtlb_hit_is_free(self):
-        tlb = make_tlb()
-        tlb.translate(0x1000)
-        assert tlb.translate(0x1008) == 0   # same page
-        assert tlb.stats.dtlb_misses == 1
+        # Another block of a page in the dTLB costs nothing, right after
+        # that page's load and after a load of another page.
+        blocks = [page_block(1), page_block(1) + 1, page_block(2),
+                  page_block(1) + 2]
+        delta, stats = translated(blocks)
+        assert delta == 2 * WALK
+        assert stats.dtlb_accesses == 4
+        assert stats.dtlb_misses == 2
 
     def test_stlb_catches_dtlb_capacity_misses(self):
-        tlb = make_tlb()
-        pages = range(0, 80)   # more than the 64-entry dTLB
-        for page in pages:
-            tlb.translate(page << PAGE_SHIFT)
-        # Re-touching an early page misses the dTLB but hits the STLB.
-        latency = tlb.translate(0)
-        assert latency == tlb.params.stlb.latency
-        assert tlb.stats.stlb_misses == 80
+        # Page 64 evicts page 0 from dTLB set 0 (16 sets of 4 ways);
+        # touching page 0 again misses the dTLB and hits the STLB.
+        pages = list(range(65)) + [0]
+        delta, stats = translated([page_block(page) for page in pages])
+        assert delta == 65 * WALK + TLBParams().stlb.latency
+        assert stats.dtlb_misses == 66
+        assert stats.stlb_misses == 65
 
     def test_block_translation(self):
         # A 64-byte block's address is ``block << 6``: blocks 0-63 share
         # page 0, block 64 starts the next page.
-        tlb = make_tlb()
-        tlb.translate(0 << 6)
-        assert tlb.translate(63 << 6) == 0
-        assert tlb.translate(64 << 6) > 0
+        delta, stats = translated([0, 63, 64])
+        assert delta == 2 * WALK
+        assert stats.dtlb_misses == 2
 
     def test_disabled_costs_nothing(self):
-        tlb = make_tlb(enabled=False)
-        assert tlb.translate(0x1000) == 0
-        assert tlb.stats.dtlb_accesses == 0
-
-    def test_flush(self):
-        tlb = make_tlb()
-        tlb.translate(0x1000)
-        tlb.flush()
-        assert tlb.translate(0x1000) > 0
+        disabled = TLBParams(enabled=False)
+        delta, stats = translated([page_block(1), page_block(2)], disabled)
+        assert delta == 0
+        assert stats.dtlb_accesses == 0
 
     def test_lru_within_set(self):
+        # A one-set, two-way dTLB: touching page 0 again makes page 2 the
+        # LRU entry, so page 4 evicts it and the last touch of page 0
+        # hits.  Three walks; evicting page 0 instead would add an STLB
+        # hit and a fourth dTLB miss.
         small = TLBParams(dtlb=TLBLevelParams("d", 2, 2, 1),
                           stlb=TLBLevelParams("s", 4, 4, 8))
-        tlb = TLBHierarchy(small)
-        tlb.translate(0 << PAGE_SHIFT)
-        tlb.translate(2 << PAGE_SHIFT)   # 1-set dTLB: {0, 2}
-        tlb.translate(0 << PAGE_SHIFT)   # touch 0
-        tlb.translate(4 << PAGE_SHIFT)   # evicts 2
-        assert tlb.translate(0 << PAGE_SHIFT) == 0
+        pages = [0, 2, 0, 4, 0]
+        delta, stats = translated([page_block(page) for page in pages],
+                                  small)
+        assert delta == 3 * (8 + small.walk_latency)
+        assert stats.dtlb_misses == stats.stlb_misses == 3
 
 
 class TestSystemIntegration:
