@@ -5,7 +5,10 @@ simulation's outcome -- the simulation model's version, the
 :class:`~repro.experiments.runner.Config`, a fingerprint of the trace's
 actual records, the experiment scale, and the
 :class:`~repro.sim.params.SystemParams` digest -- so a result is reused iff
-the simulation it answers for would be bit-identical.
+the simulation it answers for would be bit-identical.  The trace
+fingerprint (:func:`trace_fingerprint`) hashes the records as the bytes
+of a ``.rtrace`` file's column section, so a trace loaded from the trace
+cache is keyed straight from its buffers.
 
 On-disk layout (under the store root)::
 
@@ -31,10 +34,10 @@ import os
 import pickle
 import sys
 from dataclasses import asdict, is_dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from ..workloads.io import column_section
 from .faults import FaultPlan
 
 #: Bump when the record layout changes; a store stamped with another
@@ -81,12 +84,17 @@ def stable_digest(obj: Any) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-#: Records formatted per ``%`` call by :func:`trace_fingerprint`.
-_FINGERPRINT_BATCH = 4096
-
-
 def trace_fingerprint(trace) -> str:
-    """Content hash of a trace: name, suite, and every record tuple.
+    """Content hash of a trace: name, suite, record count and records.
+
+    The records are hashed as the ``.rtrace`` version-2 column section
+    (:func:`repro.workloads.io.column_section`): ips and vaddrs as
+    little-endian int64, then flags as u8.  A columnar trace is hashed
+    from its own buffers, a record-built one a chunk at a time, and the
+    two give one key for one content.  A trace holding a value that
+    section cannot (an address of 2**63 or more, a flag above 255) has
+    its records hashed as ``b"%d,%d,%d;"`` text under its own tag
+    instead.
 
     Cached on the trace object -- fingerprinting a 50k-record trace once
     per process is cheap, doing it per job is not.
@@ -94,15 +102,19 @@ def trace_fingerprint(trace) -> str:
     cached = getattr(trace, "_fingerprint", None)
     if cached is not None:
         return cached
-    h = hashlib.sha256()
-    h.update(f"{trace.name}\x00{trace.suite}\x00".encode("utf-8"))
-    records = trace.records
-    # The bytes of one ``b"%d,%d,%d;" % record`` per record, formatted
-    # _FINGERPRINT_BATCH records per ``%`` call.
-    for i in range(0, len(records), _FINGERPRINT_BATCH):
-        batch = records[i:i + _FINGERPRINT_BATCH]
-        h.update((b"%d,%d,%d;" * len(batch))
-                 % tuple(chain.from_iterable(batch)))
+    head = hashlib.sha256(
+        f"{trace.name}\x00{trace.suite}\x00{len(trace)}\x00"
+        .encode("utf-8"))
+    h = head.copy()
+    h.update(b"columns-v2\x00")
+    try:
+        for piece in column_section(trace):
+            h.update(piece)
+    except (OverflowError, ValueError):
+        h = head.copy()
+        h.update(b"decimal\x00")
+        for record in trace.records:
+            h.update(b"%d,%d,%d;" % record)
     fingerprint = h.hexdigest()
     try:
         trace._fingerprint = fingerprint

@@ -28,8 +28,9 @@ import gzip
 import struct
 import sys
 from array import array
+from operator import itemgetter
 from pathlib import Path
-from typing import Union
+from typing import Iterator, Union
 
 from .trace import Trace
 
@@ -38,6 +39,10 @@ VERSION = 2
 
 _HEADER = struct.Struct("<4sHHQ")
 _RECORD = struct.Struct("<qqB")  # version-1 row encoding
+
+#: Records converted per piece by :func:`column_section` when a column
+#: is not already in the file's layout.
+CHUNK = 4096
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -51,18 +56,48 @@ def _native_q(payload: bytes) -> array:
     return column
 
 
-def _le_bytes(column: array) -> bytes:
-    """Native int sequence -> little-endian i64 bytes."""
-    if not isinstance(column, array) or column.typecode != "q":
-        column = array("q", column)
-    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
-        column = array("q", column)
-        column.byteswap()
-    return column.tobytes()
-
-
 class TraceFormatError(ValueError):
     """Raised for malformed or incompatible trace files."""
+
+
+def _pieces(trace: Trace, field: int) -> Iterator[list]:
+    """One field of ``trace`` as lists of at most :data:`CHUNK` values."""
+    if trace._cols is not None:
+        column = trace._cols[field]
+        return (list(column[i:i + CHUNK])
+                for i in range(0, len(column), CHUNK))
+    records = trace.records
+    pick = itemgetter(field)
+    return (list(map(pick, records[i:i + CHUNK]))
+            for i in range(0, len(records), CHUNK))
+
+
+def column_section(trace: Trace) -> Iterator[Union[bytes, array]]:
+    """The version-2 column section of ``trace``, in pieces.
+
+    The bytes :func:`save_trace` writes after the name blocks, which the
+    result store also hashes to key a trace.  A columnar trace's
+    ``array('q')`` columns and ``bytes`` flags are yielded as they are;
+    anything else is converted :data:`CHUNK` records at a time.
+    Iterating raises ``OverflowError`` for an ip or vaddr outside int64
+    and ``ValueError`` for a flag outside 0..255.
+    """
+    ips, vaddrs, flags = trace._cols or (None, None, None)
+    for field, column in ((0, ips), (1, vaddrs)):
+        if _LITTLE_ENDIAN and isinstance(column, array) \
+                and column.typecode == "q":
+            yield column
+            continue
+        for piece in _pieces(trace, field):
+            piece = array("q", piece)
+            if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts
+                piece.byteswap()
+            yield piece
+    if isinstance(flags, (bytes, bytearray)):
+        yield flags
+    else:
+        for piece in _pieces(trace, 2):
+            yield bytes(piece)
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
@@ -70,25 +105,20 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     path = Path(path)
     name_bytes = trace.name.encode("utf-8")
     suite_bytes = trace.suite.encode("utf-8")
-    cols = trace._cols
-    if cols is None:
-        records = trace.records
-        ips = array("q", [r[0] for r in records])
-        vaddrs = array("q", [r[1] for r in records])
-        flags = bytes(r[2] for r in records)
-    else:
-        ips, vaddrs, flags = cols
     # zlib's default level: level 9 (gzip's default) took several times
     # as long for files a few percent smaller.
-    with gzip.open(path, "wb", compresslevel=6) as handle:
-        handle.write(_HEADER.pack(MAGIC, VERSION, 0, len(trace)))
-        handle.write(struct.pack("<H", len(name_bytes)))
-        handle.write(name_bytes)
-        handle.write(struct.pack("<H", len(suite_bytes)))
-        handle.write(suite_bytes)
-        handle.write(_le_bytes(ips))
-        handle.write(_le_bytes(vaddrs))
-        handle.write(bytes(flags))
+    try:
+        with gzip.open(path, "wb", compresslevel=6) as handle:
+            handle.write(_HEADER.pack(MAGIC, VERSION, 0, len(trace)))
+            handle.write(struct.pack("<H", len(name_bytes)))
+            handle.write(name_bytes)
+            handle.write(struct.pack("<H", len(suite_bytes)))
+            handle.write(suite_bytes)
+            for piece in column_section(trace):
+                handle.write(piece)
+    except (OverflowError, ValueError):
+        path.unlink(missing_ok=True)  # leave no half-written file
+        raise
 
 
 def load_trace(path: Union[str, Path]) -> Trace:

@@ -176,10 +176,9 @@ class Trace:
         """
         if self._cols is not None:
             return self._cols
-        if not self._records:
-            return ((), (), ())
-        ips, vaddrs, flags = zip(*self._records)
-        return ips, vaddrs, flags
+        records = self._records
+        return ([r[0] for r in records], [r[1] for r in records],
+                [r[2] for r in records])
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()

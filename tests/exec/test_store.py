@@ -1,13 +1,25 @@
 """Result store: atomic records, checksums, quarantine, stable keys."""
 
+import tempfile
+import tracemalloc
+from array import array
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from repro.exec.faults import FaultPlan
 from repro.exec.store import (ResultStore, StoreError, job_key,
                               mix_job_key, trace_fingerprint)
 from repro.experiments.runner import BASELINE, SCALES, Config, Scale
+from repro.sim.batch import prescan
 from repro.sim.params import baseline, params_digest
+from repro.workloads import gap, synthetic
+from repro.workloads.gap import gap_trace
+from repro.workloads.io import load_trace, save_trace
 from repro.workloads.mixes import workload_pool
+from repro.workloads.spec import spec_trace
 from repro.workloads.trace import Trace, alu, branch, load, store as st
 
 SCALE = Scale("micro", 300, 2, 1, 2)
@@ -227,11 +239,15 @@ class TestPinnedKeys:
 
     Every existing ``.repro-store`` is addressed by these digests: a
     change to key derivation that moves one orphans every stored result,
-    so it must show up here.  They moved once on purpose, when the keys
-    gained ``MODEL_VERSION`` (at 2, for the keyed rand-llc LLC) and
-    ``CacheParams`` gained ``keyed_index``, which moves every params
+    so it must show up here.  They moved on purpose twice.  First when
+    the keys gained ``MODEL_VERSION`` (at 2, for the keyed rand-llc LLC)
+    and ``CacheParams`` gained ``keyed_index``, which moves every params
     digest: records of the older model then miss instead of being
-    served.  A later ``MODEL_VERSION`` bump moves them all again.
+    served.  Then when the trace fingerprint began hashing the
+    ``.rtrace`` v2 column bytes instead of decimal text; no simulated
+    result moved, so ``MODEL_VERSION`` stayed 2, and a store written
+    before re-simulates each job once.  A later ``MODEL_VERSION`` bump
+    moves them all again.
     """
 
     A = _pinned_trace("key-a", 40)
@@ -271,17 +287,17 @@ class TestPinnedKeys:
 
     PINNED = {
         "job_nonsecure":
-            "0df200ae332841a17b3ba4998afd3291b5f3d93bb6b161a4faa109196363d39f",
+            "946f348e501873ca53f067040d39bbf6b87ede137f503be6957c5bd901b3ba05",
         "job_secure_suf_tsb":
-            "e25dd39b7724f48262cf1b5cec6453c1ca5f5668baa7bfd3f16960293cd1a636",
+            "afda449fa2cf78003a32dd61484adc9a9991916e0e88b438ac00578ba64c83b6",
         "job_randllc_scaled":
-            "3f32135207b3e3f374a96ed72d4363778d64b9cabc5376b11509481c167e6a06",
+            "dff34baa3ff30773a3bd6cea0307813bf0c4487cb8b6f5dac408483570eb5a63",
         "job_prefender_classify":
-            "cf59b1c556f0070f32ec35f25797d71904493bf79b0c1aa36c6feaf231e29d3e",
+            "820426ab3a8929aa11e7e84255cd9a817cc7a11f0b8156c4fe3195f9ca658613",
         "mix_oc_suf":
-            "69fc6a999162b82b7fc230159458e5c868bf709468c1eb878ea42824ce8796d1",
+            "ee62651c4327ba22175a8f07f83fb454cf8bfc8bdd0b87a52f2557e36e3cfdb9",
         "mix_delay_2core":
-            "dbb705c0a0babdbbdcb67276500dd216d89edc1c743307c76643334c8b2d68a0",
+            "86d776fde291d1c574f12d34d41795633d1e4468096306e5f34665eb528e5796",
     }
 
     def test_keys_unchanged(self):
@@ -292,3 +308,144 @@ class TestPinnedKeys:
         inputs = self.inputs()
         assert self.keys(inputs) == self.PINNED
         assert self.keys(inputs) == self.PINNED
+
+
+# ----------------------------------------------------------------------
+# trace fingerprints over the .rtrace column bytes
+# ----------------------------------------------------------------------
+
+INT64 = hst.one_of(
+    hst.integers(min_value=-2**63, max_value=2**63 - 1),
+    hst.sampled_from([-1, 0, 2**32 - 1, 2**32, 2**63 - 1, -2**63]))
+RECORDS = hst.lists(
+    hst.tuples(INT64, INT64, hst.integers(min_value=0, max_value=255)),
+    max_size=400)
+
+
+def _fresh(trace):
+    """A copy of ``trace`` with no cached fingerprint."""
+    if trace._cols is not None:
+        return Trace.from_columns(trace.name, *trace._cols, suite=trace.suite)
+    return Trace(trace.name, trace.records, suite=trace.suite)
+
+
+def _key(name, records, suite="spec"):
+    return trace_fingerprint(Trace(name, records, suite=suite))
+
+
+class TestTraceFingerprint:
+    @settings(max_examples=100, deadline=None)
+    @given(records=RECORDS)
+    def test_one_key_per_content(self, records):
+        built = Trace("t", records, suite="spec")
+        ips = [r[0] for r in records]
+        vaddrs = [r[1] for r in records]
+        flags = [r[2] for r in records]
+        as_arrays = Trace.from_columns("t", array("q", ips),
+                                       array("q", vaddrs), bytes(flags),
+                                       suite="spec")
+        as_lists = Trace.from_columns("t", ips, vaddrs, flags, suite="spec")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.rtrace"
+            save_trace(built, path)
+            loaded = load_trace(path)
+        want = trace_fingerprint(built)
+        for other in (as_arrays, as_lists, loaded):
+            assert trace_fingerprint(other) == want
+        assert as_arrays._records is None and loaded._records is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=RECORDS.filter(len), data=hst.data())
+    def test_every_field_and_the_order_are_keyed(self, records, data):
+        base = _key("t", records)
+        i = data.draw(hst.integers(0, len(records) - 1), label="record")
+        field = data.draw(hst.integers(0, 2), label="field")
+        values = INT64 if field < 2 else hst.integers(0, 255)
+        value = data.draw(values.filter(lambda v: v != records[i][field]),
+                          label="value")
+        changed = list(records)
+        changed[i] = records[i][:field] + (value,) + records[i][field + 1:]
+        assert _key("t", changed) != base
+        j = data.draw(hst.integers(0, len(records) - 1), label="other")
+        swapped = list(records)
+        swapped[i], swapped[j] = records[j], records[i]
+        assert (_key("t", swapped) == base) == (swapped == records)
+        assert _key("u", records) != base
+        assert _key("t", records, suite="gap") != base
+
+    @pytest.mark.parametrize("wide, neighbours", [
+        ((0x400, 2**64, 1),
+         [(0x400, 2**63 - 1, 1), (0x400, 0, 1), (0x400, 2**65, 1)]),
+        ((0x400, 64, 300),
+         [(0x400, 64, 255), (0x400, 64, 300 & 0xFF), (0x400, 64, 556)]),
+    ])
+    def test_values_the_format_cannot_hold(self, wide, neighbours):
+        records = [alu(0x3fc), wide]
+        key = _key("t", records)
+        assert _key("t", records) == key
+        as_lists = Trace.from_columns("t", *map(list, zip(*records)),
+                                      suite="spec")
+        assert trace_fingerprint(as_lists) == key
+        for neighbour in neighbours:
+            assert _key("t", [alu(0x3fc), neighbour]) != key
+
+    def test_columnar_trace_never_builds_records(self):
+        trace = spec_trace("619.lbm-2676B", 2000)
+        assert trace._records is None
+        trace_fingerprint(trace)
+        prescan(trace)
+        assert trace._records is None
+
+    def test_record_built_fingerprint_memory_is_bounded(self):
+        # A full-length column copy of stream-lbm's 126,698 records is
+        # about 1 MiB per int64 column, before the list it is built
+        # from; chunked conversion holds one 4,096-record chunk.
+        source = spec_trace("619.lbm-2676B", 30_000, 1)
+        trace = Trace(source.name, source.records, suite=source.suite)
+        assert len(trace) == 126_698
+        tracemalloc.start()
+        try:
+            key = trace_fingerprint(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key == trace_fingerprint(source)
+        assert peak < 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+class TestPinnedTraceFingerprints:
+    """Generator traces keyed as committed.
+
+    The stream generator builds columns (with NumPy from 1,024 loads),
+    the GAP generator builds records (its graph with NumPy when it is
+    importable).  CI's ``no-numpy`` job runs these too, so both
+    generator paths are tied to the same keys; here the stdlib paths
+    are forced for a second run.
+    """
+
+    PINNED = {
+        ("spec", 300):
+            "b821e2e2e499616cd0f6f5e11fa098d2c2d71d8564f25f5a8879d533c21e092e",
+        ("spec", 2000):
+            "eca7da674e6a1960e6796fa1f5d6c945a97221494119370e1f3baeec76a81a30",
+        ("gap", 300):
+            "7b7bfe69ff97abd6a50de0f81bf0646d9dd853ea03be6e97753983f6add99d1a",
+    }
+
+    @staticmethod
+    def build(kind, n_loads):
+        if kind == "spec":
+            return spec_trace("619.lbm-2676B", n_loads)
+        return gap_trace("bfs", n_loads)
+
+    @pytest.mark.parametrize("stdlib", [False, True])
+    @pytest.mark.parametrize("kind, n_loads", list(PINNED))
+    def test_pinned(self, monkeypatch, kind, n_loads, stdlib):
+        monkeypatch.setattr(gap, "_GRAPH_CACHE", {})
+        if stdlib:
+            monkeypatch.setattr(synthetic, "_np", None)
+            monkeypatch.setattr(gap, "_np", None)
+        trace = self.build(kind, n_loads)
+        assert (trace._records is None) == (kind == "spec")
+        assert trace_fingerprint(trace) == self.PINNED[(kind, n_loads)]
+        assert trace_fingerprint(_fresh(trace)) == self.PINNED[(kind, n_loads)]

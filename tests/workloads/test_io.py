@@ -59,6 +59,13 @@ class TestErrorHandling:
         with pytest.raises(TraceFormatError, match="version"):
             load_trace(path)
 
+    @pytest.mark.parametrize("record", [(1, 2**63, 1), (1, 64, 256)])
+    def test_unencodable_trace_leaves_no_file(self, tmp_path, record):
+        path = tmp_path / "wide.rtrace"
+        with pytest.raises((OverflowError, ValueError)):
+            save_trace(Trace("wide", [load(1, 64), record]), path)
+        assert not path.exists()
+
     def test_rejects_truncation(self, tmp_path):
         trace = Trace("t", [load(1, 64), load(1, 128)])
         path = tmp_path / "t.rtrace"
