@@ -12,17 +12,25 @@ holds these columns:
     one byte per record (``C_*`` below); the inner loop dispatches on it
     instead of re-testing flag combinations.
 ``blocks``
-    cache-block number per record (``vaddr >> BLOCK_SHIFT``), as plain
-    Python ints (NumPy scalars must never leak into the simulate loop).
+    cache-block number per record (``vaddr >> BLOCK_SHIFT``), as a list
+    of plain Python ints (NumPy scalars must never leak into the
+    simulate loop).  It stays a list, although that costs a pointer
+    per record and an int object per memory record: the stepper reads
+    it for every memory record, and each ``array('q')`` read allocates
+    a fresh int (``array('q')`` blocks simulated about 2% slower on a
+    2-vCPU Xeon VM; docs/PERFORMANCE.md, "Typed columns").
 ``ips``
-    instruction pointers as a plain list (indexed only for loads).
+    instruction pointers, indexed only for loads: the trace's own
+    ``array('q')`` ips column, shared rather than copied, or an
+    ``array('q')`` built from a record-built trace's ips.  It is a list
+    only where an ip does not fit in int64.
 ``cum``
-    committed-record prefix counts: ``cum[j]`` is the number of
-    committed-path records among ``records[0..j]``.  The outer loop
-    binary-searches this to turn "pause after the k-th committed
+    committed-record prefix counts, an ``array('q')``: ``cum[j]`` is the
+    number of committed-path records among ``records[0..j]``.  The outer
+    loop binary-searches this to turn "pause after the k-th committed
     instruction" (warm-up reset, sampler boundary, multicore yield) into
     a record index, so the inner loop runs with **zero** per-record
-    boundary checks.
+    boundary checks; it reads one element per block.
 ``same_page``
     1 where a load record touches the same 4 KB page as the immediately
     preceding load record.  Only loads touch the dTLB and the previous
@@ -45,6 +53,7 @@ classification at C speed even without NumPy).
 from __future__ import annotations
 
 import os
+from array import array
 from bisect import bisect_left
 from itertools import accumulate
 from typing import List, Sequence
@@ -106,7 +115,7 @@ class BatchPlan:
                  "committed_total")
 
     def __init__(self, codes: bytes, blocks: List[int], ips: Sequence[int],
-                 cum: List[int], same_page: bytes) -> None:
+                 cum: array, same_page: bytes) -> None:
         self.n = len(codes)
         self.codes = codes
         self.blocks = blocks
@@ -123,16 +132,29 @@ class BatchPlan:
 def _as_flag_bytes(flags: Sequence[int]) -> bytes:
     if isinstance(flags, bytes):
         return flags
-    return bytes(flags)  # bytearray, list, array('b'), ...
+    # One byte per element: ``bytes()`` of a multi-byte array such as
+    # ``array('q')`` would copy its raw buffer instead.
+    return bytes(iter(flags))
+
+
+def _ips_column(ips: Sequence[int]) -> Sequence[int]:
+    """``ips`` as an ``array('q')``: the trace's own column when it is
+    one, else a copy, or a list where an ip does not fit in int64."""
+    if isinstance(ips, array) and ips.typecode == "q":
+        return ips
+    try:
+        return array("q", ips)
+    except OverflowError:
+        return ips if type(ips) is list else list(ips)
 
 
 def _prescan_numpy(ips, vaddrs, flags) -> BatchPlan:
     flag_bytes = _as_flag_bytes(flags)
     flags_np = np.frombuffer(flag_bytes, dtype=np.uint8)
     codes_np = _NP_CODE_TABLE[flags_np]
-    try:
+    if isinstance(vaddrs, array) and vaddrs.typecode == "q":
         vaddrs_np = np.frombuffer(vaddrs, dtype=np.int64)
-    except (TypeError, ValueError, AttributeError):
+    else:  # a list, or an array whose raw buffer is not int64
         vaddrs_np = np.asarray(vaddrs, dtype=np.int64)
     blocks_np = vaddrs_np >> 6  # BLOCK_SHIFT; arithmetic shift keeps -1
     # dTLB same-page chain over load records only (committed and wrong
@@ -143,17 +165,18 @@ def _prescan_numpy(ips, vaddrs, flags) -> BatchPlan:
     if len(load_idx) > 1:
         pages = blocks_np[load_idx] >> 6  # page = block >> 6
         same_np[load_idx[1:]] = pages[1:] == pages[:-1]
-    cum = np.cumsum(codes_np < C_WRONG_LOAD, dtype=np.int64).tolist()
-    ips_list = ips if type(ips) is list else list(ips)
-    return BatchPlan(codes_np.tobytes(), blocks_np.tolist(), ips_list,
-                     cum, same_np.tobytes())
+    cum = array("q")
+    cum.frombytes(np.cumsum(codes_np < C_WRONG_LOAD, dtype=np.int64)
+                  .view(np.uint8))
+    return BatchPlan(codes_np.tobytes(), blocks_np.tolist(),
+                     _ips_column(ips), cum, same_np.tobytes())
 
 
 def _prescan_stdlib(ips, vaddrs, flags) -> BatchPlan:
     flag_bytes = _as_flag_bytes(flags)
     codes = flag_bytes.translate(CODE_TABLE)
     blocks = [v >> 6 for v in vaddrs]
-    cum = list(accumulate(codes.translate(_COMMIT_TABLE)))
+    cum = array("q", accumulate(codes.translate(_COMMIT_TABLE)))
     same_page = bytearray(len(codes))
     prev_page = -1 << 70  # no real page compares equal
     is_load = _IS_LOAD
@@ -164,8 +187,7 @@ def _prescan_stdlib(ips, vaddrs, flags) -> BatchPlan:
                 same_page[j] = 1
             else:
                 prev_page = page
-    ips_list = ips if type(ips) is list else list(ips)
-    return BatchPlan(codes, blocks, ips_list, cum, bytes(same_page))
+    return BatchPlan(codes, blocks, _ips_column(ips), cum, bytes(same_page))
 
 
 def prescan(trace) -> BatchPlan:

@@ -112,11 +112,16 @@ class Trace:
     instruction count (used for IPC and per-kilo-instruction metrics) excludes
     wrong-path records.
 
-    Bulk generators build traces from *columns* (parallel ip/vaddr/flags
-    sequences, see :meth:`from_columns`); the record tuples those callers
-    mostly never touch are materialized lazily on first ``.records`` access.
-    Columnar traces also pickle as columns, which keeps multiprocess job
-    payloads small.
+    Every generator, and :func:`repro.workloads.io.load_trace`, builds
+    its trace from typed *columns* (see :meth:`from_columns`):
+    ``array('q')`` ips and vaddrs and ``bytes`` flags, 17 bytes per
+    record.  The prescan and the store key read those buffers, and the
+    record tuples that most callers never touch are materialized lazily
+    on first ``.records`` access.  Columnar traces also pickle as
+    columns, which keeps multiprocess job payloads small.  A trace built
+    from records keeps its tuples (a tuple, a list slot and up to three
+    int objects per record); generators fall back to that only for a
+    value int64 or u8 cannot hold.
     """
 
     def __init__(self, name: str, records: Sequence[Record],
@@ -198,7 +203,7 @@ class Trace:
         return iter(self.records)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"Trace({self.name!r}, {len(self.records)} records, "
+        return (f"Trace({self.name!r}, {len(self)} records, "
                 f"{self.committed_count} committed)")
 
     def instructions(self) -> Iterator[Instr]:

@@ -394,6 +394,7 @@ class TestTraceFingerprint:
         assert trace._records is None
         trace_fingerprint(trace)
         prescan(trace)
+        repr(trace)
         assert trace._records is None
 
     def test_record_built_fingerprint_memory_is_bounded(self):
@@ -416,9 +417,10 @@ class TestTraceFingerprint:
 class TestPinnedTraceFingerprints:
     """Generator traces keyed as committed.
 
-    The stream generator builds columns (with NumPy from 1,024 loads),
-    the GAP generator builds records (its graph with NumPy when it is
-    importable).  CI's ``no-numpy`` job runs these too, so both
+    The stream generator builds columns in bulk (with NumPy from 1,024
+    loads), the GAP generator through ``TraceBuilder``, whose ``build``
+    transposes its records into columns (its graph with NumPy when it
+    is importable).  CI's ``no-numpy`` job runs these too, so both
     generator paths are tied to the same keys; here the stdlib paths
     are forced for a second run.
     """
@@ -446,6 +448,6 @@ class TestPinnedTraceFingerprints:
             monkeypatch.setattr(synthetic, "_np", None)
             monkeypatch.setattr(gap, "_np", None)
         trace = self.build(kind, n_loads)
-        assert (trace._records is None) == (kind == "spec")
+        assert trace._records is None
         assert trace_fingerprint(trace) == self.PINNED[(kind, n_loads)]
         assert trace_fingerprint(_fresh(trace)) == self.PINNED[(kind, n_loads)]

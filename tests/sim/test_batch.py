@@ -18,6 +18,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,7 @@ from repro.sim.batch import (C_ALU, C_BRANCH, C_LOAD, C_MISPREDICT,
                              C_STORE, C_WRONG_LOAD, C_WRONG_OTHER,
                              CODE_TABLE, HAVE_NUMPY, _prescan_stdlib,
                              plan_for, prescan)
+from repro.workloads.spec import spec_trace
 from repro.workloads.trace import (FLAG_BRANCH, FLAG_LOAD, FLAG_MISPREDICT,
                                    FLAG_STORE, FLAG_WRONG_PATH, Trace)
 
@@ -139,28 +142,90 @@ class TestPrescanSamePage:
         plan = prescan(Trace("empty", []))
         assert plan.n == 0
         assert plan.committed_total == 0
-        assert plan.cum == []
+        assert list(plan.cum) == []
 
 
 class TestBackendEquivalence:
     def test_stdlib_matches_numpy_on_real_trace(self):
         if not HAVE_NUMPY:
             pytest.skip("NumPy unavailable; only one backend to compare")
-        from repro.workloads.spec import spec_trace
-
         trace = spec_trace(GOLDEN_WORKLOAD, 2000)
         vec = prescan(trace)
         lib = _prescan_stdlib(*trace.columns())
         assert lib.codes == vec.codes
         assert lib.blocks == vec.blocks
         assert list(lib.ips) == list(vec.ips)
-        assert lib.cum == vec.cum
+        assert list(lib.cum) == list(vec.cum)
         assert lib.same_page == vec.same_page
         assert lib.committed_total == vec.committed_total
 
     def test_plan_cached_per_trace(self):
         trace = Trace("t", [(1, 64, FLAG_LOAD)])
         assert plan_for(trace) is plan_for(trace)
+
+
+# ---------------------------------------------------------------------------
+# column types: what the plan holds per record
+# ---------------------------------------------------------------------------
+
+BACKENDS = [pytest.param(True, id="numpy",
+                         marks=pytest.mark.skipif(not HAVE_NUMPY,
+                                                  reason="no NumPy")),
+            pytest.param(False, id="stdlib")]
+
+
+@pytest.mark.parametrize("numpy", BACKENDS)
+class TestPlanColumns:
+    def _prescan(self, trace, numpy, monkeypatch):
+        monkeypatch.setattr(batch_mod, "HAVE_NUMPY", numpy)
+        return prescan(trace)
+
+    def test_column_types(self, numpy, monkeypatch):
+        plan = self._prescan(Trace("t", TestPrescanCodes.RECORDS), numpy,
+                             monkeypatch)
+        assert type(plan.cum) is array and plan.cum.typecode == "q"
+        assert type(plan.blocks) is list
+        assert all(type(block) is int for block in plan.blocks)
+
+    def test_ips_column_is_shared(self, numpy, monkeypatch):
+        trace = spec_trace(GOLDEN_WORKLOAD, 300)
+        ips = trace.columns()[0]
+        assert type(ips) is array and ips.typecode == "q"
+        assert self._prescan(trace, numpy, monkeypatch).ips is ips
+
+    @pytest.mark.parametrize("typecode", ["q", "i"])
+    def test_multi_byte_flag_columns(self, numpy, monkeypatch, typecode):
+        # bytes() of an array('q') is its raw buffer, 8 bytes per flag.
+        trace = Trace.from_columns(
+            "x", array("q", [0x400000, 0x400004]),
+            array(typecode, [4096, -1]), array(typecode, [FLAG_LOAD, 0]))
+        assert self._prescan(trace, numpy, monkeypatch).n == 2
+        from repro.sim.system import System
+        assert System().run(trace, warmup=0.0).committed == 2
+
+    def test_ip_beyond_int64_still_simulates(self, numpy, monkeypatch):
+        records = [(2**64, 0x1000, FLAG_LOAD), (0x400004, -1, 0),
+                   (2**64, 0x1040, FLAG_LOAD)]
+        trace = Trace("wide", records)
+        plan = self._prescan(trace, numpy, monkeypatch)
+        assert list(plan.ips) == [r[0] for r in records]
+        from repro.sim.system import System
+        assert System().run(trace, warmup=0.0).committed == 3
+
+    def test_plan_memory_is_bounded(self, numpy, monkeypatch):
+        # 126,698 records: the plan keeps one byte per record for codes
+        # and for same_page, an int64 per record for cum, and the blocks
+        # list.  Lists of ips and prefix counts held 12.0 MiB here.
+        trace = spec_trace("619.lbm-2676B", 30_000, 1)
+        assert len(trace) == 126_698
+        tracemalloc.start()
+        try:
+            plan = self._prescan(trace, numpy, monkeypatch)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert plan.n == len(trace)
+        assert held <= 5 * 2**20, f"plan holds {held / 2**20:.2f} MiB"
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exec.store import trace_fingerprint
 from repro.workloads.synthetic import (TraceBuilder, hot_cold_trace,
                                        interleave, pointer_chase_trace,
                                        region_trace, stream_trace)
 from repro.workloads.trace import (FLAG_BRANCH, FLAG_LOAD, FLAG_MISPREDICT,
-                                   FLAG_STORE, FLAG_WRONG_PATH)
+                                   FLAG_STORE, FLAG_WRONG_PATH, Trace)
 
 
 def loads_of(trace):
@@ -53,6 +54,49 @@ class TestTraceBuilder:
             return b.build().records
         assert build(7) == build(7)
         assert build(7) != build(8)
+
+    @settings(max_examples=50, deadline=None)
+    @given(ops=st.lists(st.tuples(
+               st.sampled_from(["load", "store", "filler"]),
+               st.integers(min_value=0, max_value=2**40),
+               st.integers(min_value=0, max_value=3)), max_size=60),
+           branch_every=st.integers(min_value=1, max_value=6),
+           mispredict_rate=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(min_value=0, max_value=1000))
+    def test_build_holds_the_appended_records(self, ops, branch_every,
+                                              mispredict_rate, seed):
+        builder = TraceBuilder("t", suite="spec", seed=seed,
+                               branch_every=branch_every,
+                               mispredict_rate=mispredict_rate)
+        for op, addr, count in ops:
+            if op == "load":
+                builder.add_load(0x400, addr)
+            elif op == "store":
+                builder.add_store(0x404, addr)
+            else:
+                builder.add_filler(count)
+        appended = list(builder.records)
+        trace = builder.build()
+        assert trace._records is None  # typed columns, no tuples
+        assert trace.records == appended
+        twin = Trace("t", appended, suite="spec")
+        assert trace.committed_count == twin.committed_count
+        assert trace_fingerprint(trace) == trace_fingerprint(twin)
+
+    def test_address_beyond_int64_keeps_its_key(self):
+        # int64 cannot hold 2**63, so the builder keeps the record-built
+        # trace, whose store key falls back to the decimal encoding.
+        builder = TraceBuilder("wide", suite="spec", seed=3,
+                               branch_every=3, mispredict_rate=0.5,
+                               wrong_path_loads=2)
+        builder.add_load(0x400, 2**63)
+        builder.add_store(0x404, 64)
+        builder.add_load(0x400, 2**64 + 128)
+        trace = builder.build()
+        assert trace.records == builder.records
+        assert len(trace) == 14
+        assert trace_fingerprint(trace) == (
+            "b810eb9da104ecabbe284c9336e6583b6ca021036115283c7ea1be7173db4127")
 
 
 class TestStreamTrace:
