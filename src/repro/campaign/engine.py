@@ -6,10 +6,9 @@ simulation as *one* batch through the execution layer (sharded across
 workers with ``jobs>1``, deduplicated and resumable through the result
 store), then evaluates the spec's outputs into a :class:`FigureResult`.
 
-Fail-soft semantics ride the runner's: a permanently failed simulation
-memoizes a NaN-sentinel result, the metric layer propagates NaN, and
-the report renderer prints ``n/a`` for that cell instead of aborting
-the campaign.
+Fail-soft semantics ride the runner's: a failed simulation memoizes a
+NaN-sentinel result, the metric layer propagates NaN, and the report
+renderer prints ``n/a`` for that cell instead of aborting the campaign.
 """
 
 from __future__ import annotations
@@ -182,8 +181,8 @@ def _eval_multicore(runner: ExperimentRunner,
         return [runner.run(BASELINE, t).ipc for t in mix]
 
     # Normalization baseline: non-secure, no prefetching, same mix.  In
-    # failsoft mode a permanently failed mix comes back None (recorded
-    # in runner.failures) and drops out of the figure.
+    # failsoft mode a failed mix comes back None (recorded in
+    # runner.failures) and drops out of the figure.
     base_results = runner.run_mixes(BASELINE, mixes, cores=cores)
     base_ws = [result.weighted_speedup(alone(mix))
                if result is not None else None

@@ -15,8 +15,9 @@ Commands
     Run the paper's standard configurations side by side on one workload.
 ``campaign``
     Render paper figures: run one or more declarative campaign specs
-    (``campaigns/<name>.json`` or any spec file) through the
-    fault-tolerant execution layer on one runner; ``--dry-run`` prints
+    (``campaigns/<name>.json`` or any spec file) through the execution
+    layer (a process pool and the result store) on one runner; a failed
+    cell renders ``n/a`` and the command exits 1.  ``--dry-run`` prints
     the expanded job plans, ``--resume`` continues from the result
     store, ``--expect-cached`` checks that nothing re-simulated.
 ``tables``
@@ -98,15 +99,9 @@ def _exec_options(args) -> ExecOptions:
 def _exec_runner(args, *, failsoft: bool = True,
                  scale=None) -> ExperimentRunner:
     """An ExperimentRunner wired to the execution layer from CLI flags."""
-    from .exec.faults import FaultPlan
-    try:
-        fault_plan = FaultPlan.from_env()
-    except ValueError as exc:
-        raise SystemExit(f"REPRO_FAULTS: {exc}")
-    options = _exec_options(args)
-    return options.make_runner(
+    return _exec_options(args).make_runner(
         scale=scale if scale is not None else SCALES[args.scale],
-        failsoft=failsoft, fault_plan=fault_plan)
+        failsoft=failsoft)
 
 
 def _build_trace(name: str, n_loads: int) -> Trace:

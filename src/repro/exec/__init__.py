@@ -1,23 +1,19 @@
-"""Fault-tolerant execution layer for experiment sweeps.
+"""Execution layer for experiment sweeps.
 
-Three pillars (see docs in each module):
+Two pillars (see docs in each module):
 
-* :mod:`repro.exec.pool` -- a process-pool job executor with per-job
-  wall-clock timeouts, bounded retry with exponential backoff, and
-  worker-crash isolation.
+* :mod:`repro.exec.pool` -- a job executor, serial or over a process
+  pool, that isolates a crashed worker to its own job and reports each
+  failure once.
 * :mod:`repro.exec.store` -- a persistent content-addressed result store
   with atomic writes, per-record checksums, and corruption quarantine.
-* :mod:`repro.exec.faults` -- a deterministic fault-injection harness that
-  exercises the retry, timeout, and quarantine paths in real tests.
 """
 
-from .faults import FaultPlan, InjectedFault
 from .pool import (Job, JobExecutor, JobFailure, JobOutcome, MixJob,
                    execute_job, failed_result)
 from .store import ResultStore, job_key, mix_job_key, trace_fingerprint
 
 __all__ = [
-    "FaultPlan", "InjectedFault",
     "Job", "JobExecutor", "JobFailure", "JobOutcome", "MixJob",
     "execute_job", "failed_result",
     "ResultStore", "job_key", "mix_job_key", "trace_fingerprint",

@@ -1,9 +1,9 @@
 """Shared CLI execution options: one parser, one resolution path.
 
-Every subcommand that drives simulations (``run``, ``figure``, ``sweep``,
-``multicore``, ``campaign``) historically re-declared the same
-``--jobs/--store/--no-store/--timeout`` flags and re-implemented their
-environment fallbacks.  This module is the single source of truth:
+Every subcommand that drives simulations (``run``, ``campaign``,
+``security-matrix``, ``multicore``) takes the same
+``--jobs/--store/--no-store`` flags with the same environment fallback.
+This module is the single source of truth:
 
 * :func:`exec_arguments` builds an ``argparse`` *parent parser* carrying
   the flags, attached to each subcommand via ``parents=[...]``;
@@ -45,9 +45,6 @@ def exec_arguments() -> argparse.ArgumentParser:
                             f"{default_store()!r})")
     group.add_argument("--no-store", action="store_true",
                        help="disable the persistent result store")
-    group.add_argument("--timeout", type=float, default=None,
-                       help="per-job wall-clock timeout in seconds "
-                            "(requires --jobs > 1)")
     return parent
 
 
@@ -62,7 +59,6 @@ class ExecOptions:
 
     jobs: int = 1
     store: Optional[str] = None
-    timeout: Optional[float] = None
 
     @classmethod
     def from_args(cls, args) -> "ExecOptions":
@@ -74,24 +70,18 @@ class ExecOptions:
         if jobs <= 0:
             raise ValueError(
                 f"--jobs must be a positive integer, got {jobs}")
-        timeout = getattr(args, "timeout", None)
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"--timeout must be positive, got {timeout}")
         if getattr(args, "no_store", False):
             store: Optional[str] = None
         else:
             store = getattr(args, "store", None)
             if store is None:
                 store = default_store()
-        return cls(jobs=jobs, store=store, timeout=timeout)
+        return cls(jobs=jobs, store=store)
 
-    def make_runner(self, *, scale=None, failsoft: bool = True,
-                    fault_plan=None, max_retries: int = 2):
+    def make_runner(self, *, scale=None, failsoft: bool = True):
         """An :class:`~repro.experiments.runner.ExperimentRunner` wired
         to these options (the one construction path every subcommand
         shares)."""
         from ..experiments.runner import ExperimentRunner
-        return ExperimentRunner(
-            scale=scale, jobs=self.jobs, store=self.store,
-            timeout_s=self.timeout, max_retries=max_retries,
-            failsoft=failsoft, fault_plan=fault_plan)
+        return ExperimentRunner(scale=scale, jobs=self.jobs,
+                                store=self.store, failsoft=failsoft)

@@ -12,9 +12,9 @@ cache is keyed straight from its buffers.
 
 On-disk layout (under the store root)::
 
-    format                  -- version stamp, refuses unknown versions
-    objects/ab/<key>.rec    -- one record per job key (sharded by prefix)
-    quarantine/             -- corrupt records moved aside for post-mortem
+    format                   -- version stamp, refuses unknown versions
+    objects/ab/<key>.rec     -- one record per job key (sharded by prefix)
+    quarantine/<key>.rec.<n> -- corrupt records moved aside for post-mortem
 
 Record format: magic line, a JSON header (key, payload length, SHA-256),
 then a pickled :class:`~repro.sim.system.SimResult`.  Writes go to a
@@ -38,7 +38,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
 from ..workloads.io import column_section
-from .faults import FaultPlan
 
 #: Bump when the record layout changes; a store stamped with another
 #: format is refused.
@@ -200,29 +199,18 @@ class StoreError(OSError):
 class ResultStore:
     """Durable result cache with checksums and corruption quarantine.
 
-    Parameters
-    ----------
-    root:
-        Directory holding the store (created if missing).
-    fault_plan:
-        Optional :class:`FaultPlan`; records whose key it selects for
-        ``corrupt`` get one payload byte flipped right after their first
-        write, so tests exercise the quarantine/recompute path.
+    ``root`` is the directory holding the store (created if missing);
+    ``fsync`` overrides :data:`FSYNC_ENV`.
     """
 
-    def __init__(self, root, fault_plan: Optional[FaultPlan] = None, *,
-                 fsync: Optional[bool] = None) -> None:
+    def __init__(self, root, *, fsync: Optional[bool] = None) -> None:
         self.root = Path(root)
-        self.fault_plan = fault_plan
         self.fsync = fsync if fsync is not None \
             else os.environ.get(FSYNC_ENV, "") == "1"
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.quarantined = 0
-        self.injected_corruptions = 0
-        self.injected_torn_writes = 0
-        self._corrupted_once: set = set()
         self._init_root()
 
     def _init_root(self) -> None:
@@ -306,14 +294,28 @@ class ResultStore:
 
     def _quarantine(self, path: Path, reason: str) -> None:
         self.quarantined += 1
-        target = self.quarantine_dir / f"{path.name}.{self.quarantined}"
-        try:
-            os.replace(path, target)
-        except OSError:  # pragma: no cover - raced/unlinked file
-            target = None
+        target = self._move_aside(path)
         print(f"repro.exec.store: quarantined corrupt record {path.name} "
               f"({reason})" + (f" -> {target}" if target else ""),
               file=sys.stderr)
+
+    def _move_aside(self, path: Path) -> Optional[Path]:
+        """Move ``path`` to ``quarantine/<name>.<n>``, ``n`` the first
+        suffix not taken yet.  ``os.link`` refuses an existing name, so
+        an earlier copy, quarantined by this store object or another, is
+        never overwritten."""
+        n = 1
+        while True:
+            target = self.quarantine_dir / f"{path.name}.{n}"
+            try:
+                os.link(path, target)
+            except FileExistsError:
+                n += 1
+                continue
+            except OSError:  # pragma: no cover - raced/unlinked file
+                return None
+            path.unlink(missing_ok=True)
+            return target
 
     # ------------------------------------------------------------------
     # write path
@@ -350,8 +352,6 @@ class ResultStore:
             if tmp.exists():  # pragma: no cover - write failed mid-way
                 tmp.unlink()
         self.writes += 1
-        self._maybe_inject_corruption(key, path, len(blob))
-        self._maybe_inject_torn_write(key, path, len(blob))
 
     @staticmethod
     def _fsync_dir(directory: Path) -> None:
@@ -361,59 +361,13 @@ class ResultStore:
         finally:
             os.close(fd)
 
-    def _maybe_inject_corruption(self, key: str, path: Path,
-                                 blob_len: int) -> None:
-        """Flip one payload byte after the record's *first* write when the
-        fault plan selects it (simulated bit rot; the recomputed record is
-        written clean).  A marker file under ``faults-injected/`` makes
-        "first write" hold across store instances, so a resumed sweep is
-        not re-corrupted forever."""
-        plan = self.fault_plan
-        if plan is None or not plan.should_corrupt(key) \
-                or key in self._corrupted_once:
-            return
-        marker = self.root / "faults-injected" / key
-        if marker.exists():
-            return
-        marker.parent.mkdir(parents=True, exist_ok=True)
-        marker.write_text("corrupted once\n")
-        self._corrupted_once.add(key)
-        self.injected_corruptions += 1
-        with open(path, "r+b") as fh:
-            fh.seek(blob_len - 1)
-            last = fh.read(1)
-            fh.seek(blob_len - 1)
-            fh.write(bytes([last[0] ^ 0xFF]))
-
-    def _maybe_inject_torn_write(self, key: str, path: Path,
-                                 blob_len: int) -> None:
-        """Truncate the record to half its bytes after its *first* write
-        when the fault plan selects it for ``torn`` (a lost tail, as if
-        the filesystem crashed mid-write).  The next read fails the
-        length/checksum verification, quarantines the file, and reports a
-        miss, so the caller recomputes and rewrites it clean -- the
-        ``faults-injected/`` marker keeps the rewrite untouched."""
-        plan = self.fault_plan
-        if plan is None or not plan.should_tear(key):
-            return
-        marker = self.root / "faults-injected" / f"torn-{key}"
-        if marker.exists():
-            return
-        marker.parent.mkdir(parents=True, exist_ok=True)
-        marker.write_text("torn once\n")
-        self.injected_torn_writes += 1
-        with open(path, "r+b") as fh:
-            fh.truncate(max(1, blob_len // 2))
-
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
-                "writes": self.writes, "quarantined": self.quarantined,
-                "injected_corruptions": self.injected_corruptions,
-                "injected_torn_writes": self.injected_torn_writes}
+                "writes": self.writes, "quarantined": self.quarantined}
 
     def summary(self) -> str:
         s = self.stats()

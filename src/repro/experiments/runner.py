@@ -20,7 +20,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..core.timely import make_timely
 from ..core.tsb import TSBPrefetcher
-from ..exec.faults import FaultPlan
 from ..exec.pool import Job, JobExecutor, JobFailure, MixJob, failed_result
 from ..exec.store import ResultStore, StoreError, job_key, mix_job_key
 from ..obs import ObsConfig, PhaseProfiler
@@ -35,7 +34,7 @@ from ..workloads.trace import Trace
 
 
 class ExperimentError(RuntimeError):
-    """A simulation job failed permanently (retries exhausted)."""
+    """A simulation job failed (it raised, or its worker died)."""
 
 
 @dataclass(frozen=True)
@@ -241,48 +240,45 @@ class ExperimentRunner:
     Execution routes through :mod:`repro.exec`:
 
     ``jobs``
-        Worker-process count.  ``jobs=1`` (the default) is the classic
-        serial in-process path; ``jobs>1`` fans each batch across a
-        crash-isolated process pool with per-job timeouts and retries.
+        Worker-process count.  ``jobs=1`` (the default) is the serial
+        in-process path; ``jobs>1`` fans each batch across a process
+        pool in which a crashed worker fails only its own job.
     ``store``
         ``None``, a directory path, or a :class:`ResultStore`: a
         persistent content-addressed cache keyed by ``(config, trace,
         scale, params)``.  An unusable store directory degrades
         gracefully to store-less execution with a warning.
     ``failsoft``
-        When ``True``, a permanently failed job yields a NaN sentinel
-        result (figures render the cell as ``n/a``) and is recorded in
+        When ``True``, a failed job yields a NaN sentinel result
+        (figures render the cell as ``n/a``) and is recorded in
         :attr:`failures`; when ``False`` it raises :class:`ExperimentError`.
+    ``max_retries``
+        Accepts only 0: a job is deterministic in its inputs, so nothing
+        is retried.
     """
 
     def __init__(self, scale: Optional[Scale] = None,
                  params: Optional[SystemParams] = None, *,
                  jobs: int = 1,
                  store: Union[None, str, "os.PathLike", ResultStore] = None,
-                 timeout_s: Optional[float] = None,
-                 max_retries: int = 2,
-                 backoff_s: float = 0.5,
                  failsoft: bool = False,
-                 fault_plan: Optional[FaultPlan] = None) -> None:
+                 max_retries: int = 0) -> None:
+        # The keyword stays only because benchmarks/e2e/e2e_workloads.py
+        # (line 123) passes max_retries=0; it goes when that line does.
+        if max_retries != 0:
+            raise ValueError(f"max_retries must be 0 (jobs are never "
+                             f"retried), got {max_retries!r}")
         self.scale = scale if scale is not None else current_scale()
         self.params = params if params is not None else baseline()
         self.jobs = max(1, int(jobs))
         self.failsoft = failsoft
-        self.fault_plan = fault_plan if fault_plan is not None \
-            else FaultPlan.from_env()
         self.store = self._open_store(store)
         #: Wall-clock phase accounting (trace generation, execution, and
         #: per-job build/simulate times reported back by the workers).
         self.profiler = PhaseProfiler()
-        #: Permanently failed cells (populated in failsoft mode).
+        #: Failed cells (populated in failsoft mode).
         self.failures: List[JobFailure] = []
-        #: Per-job simulation throughputs (instr/s) reported by workers;
-        #: :meth:`throughput` folds them into one harmonic mean.
-        self.job_throughputs: List[float] = []
-        self._executor = JobExecutor(
-            jobs=self.jobs, timeout_s=timeout_s, max_retries=max_retries,
-            backoff_s=backoff_s, store=self.store,
-            fault_plan=self.fault_plan)
+        self._executor = JobExecutor(jobs=self.jobs, store=self.store)
         self._pool: Optional[List[Trace]] = None
         self._results: Dict[Tuple[Config, str], SimResult] = {}
         self._mix_results: Dict[Tuple[Config, Tuple[str, ...], int],
@@ -292,7 +288,7 @@ class ExperimentRunner:
         if store is None or isinstance(store, ResultStore):
             return store
         try:
-            return ResultStore(store, fault_plan=self.fault_plan)
+            return ResultStore(store)
         except StoreError as exc:
             print(f"repro: {exc}; continuing without a result store",
                   file=sys.stderr)
@@ -432,42 +428,30 @@ class ExperimentRunner:
                    config=config, trace=trace, scale=self.scale,
                    params=self.params)
 
+    def _account(self, outcome) -> None:
+        """Fold a fresh job's worker-measured phase times into this
+        runner's profiler (store hits did no fresh work)."""
+        if not outcome.from_store:
+            extras = outcome.result.extras
+            for phase in ("build", "simulate"):
+                seconds = extras.get(f"wall_{phase}_s")
+                if seconds is not None:
+                    self.profiler.add(phase, seconds)
+
     def _finish(self, outcome) -> SimResult:
         """Turn a job outcome into a result, honouring ``failsoft``."""
         if outcome.ok:
-            if not outcome.from_store:
-                # Fold the worker-measured phase times into this runner's
-                # profiler (store hits did no fresh work).
-                extras = outcome.result.extras
-                for phase in ("build", "simulate"):
-                    seconds = extras.get(f"wall_{phase}_s")
-                    if seconds is not None:
-                        self.profiler.add(phase, seconds)
-                instr_per_s = extras.get("instr_per_s")
-                if instr_per_s:
-                    self.job_throughputs.append(instr_per_s)
+            self._account(outcome)
             return outcome.result
         failure = JobFailure(outcome.job.config.label(),
                              outcome.job.trace.name, outcome.error)
         self.failures.append(failure)
         if not self.failsoft:
             raise ExperimentError(
-                f"{failure.config_label} on {failure.trace_name} failed "
-                f"after {outcome.attempts} attempt(s): {outcome.error}")
+                f"{failure.config_label} on {failure.trace_name} failed: "
+                f"{outcome.error}")
         return failed_result(outcome.job.config, outcome.job.trace.name,
                              outcome.error)
-
-    def throughput(self) -> float:
-        """Harmonic-mean simulation throughput (instr/s) over fresh jobs.
-
-        The harmonic mean weights every job by its wall time, so one slow
-        secure-config cell is not drowned out by many fast baseline cells.
-        Returns 0.0 when nothing ran fresh (e.g. a fully store-hit sweep).
-        """
-        rates = self.job_throughputs
-        if not rates:
-            return 0.0
-        return len(rates) / sum(1.0 / r for r in rates)
 
     def run(self, config: Config, trace: Trace) -> SimResult:
         """Run (or recall) one configuration on one trace."""
@@ -537,20 +521,12 @@ class ExperimentRunner:
     def _finish_mix(self, outcome) -> Optional[MulticoreResult]:
         """Mix-job counterpart of :meth:`_finish`.
 
-        A permanently failed mix becomes ``None`` (callers skip the mix)
-        in failsoft mode instead of a NaN ``SimResult``, since a
+        A failed mix becomes ``None`` (callers skip the mix) in failsoft
+        mode instead of a NaN ``SimResult``, since a
         :class:`MulticoreResult` has no NaN sentinel shape.
         """
         if outcome.ok:
-            if not outcome.from_store:
-                extras = outcome.result.extras
-                for phase in ("build", "simulate"):
-                    seconds = extras.get(f"wall_{phase}_s")
-                    if seconds is not None:
-                        self.profiler.add(phase, seconds)
-                instr_per_s = extras.get("instr_per_s")
-                if instr_per_s:
-                    self.job_throughputs.append(instr_per_s)
+            self._account(outcome)
             return outcome.result
         mix_label = "+".join(t.name for t in outcome.job.traces)
         failure = JobFailure(outcome.job.config.label(), mix_label,
@@ -558,8 +534,8 @@ class ExperimentRunner:
         self.failures.append(failure)
         if not self.failsoft:
             raise ExperimentError(
-                f"{failure.config_label} on mix {mix_label} failed after "
-                f"{outcome.attempts} attempt(s): {outcome.error}")
+                f"{failure.config_label} on mix {mix_label} failed: "
+                f"{outcome.error}")
         return None
 
     def run_mixes(self, config: Config,
@@ -571,8 +547,8 @@ class ExperimentRunner:
         submitted as one batch through the execution layer, so with
         ``jobs>1`` they run in parallel and with a result store an
         interrupted sweep resumes from the completed mixes.  Returns
-        results aligned to the input mixes; a permanently failed mix is
-        ``None`` when the runner is failsoft.
+        results aligned to the input mixes; a failed mix is ``None`` when
+        the runner is failsoft.
         """
         if mixes is None:
             mixes = self.mixes(cores=cores)
@@ -613,7 +589,7 @@ class ExperimentRunner:
     def failure_summary(self,
                         failures: Optional[List[JobFailure]] = None
                         ) -> str:
-        """Human-readable list of permanently failed cells ('' if none)."""
+        """Human-readable list of failed cells ('' if none)."""
         if failures is None:
             failures = self.failures
         if not failures:

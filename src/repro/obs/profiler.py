@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 __all__ = ["PhaseProfiler"]
 
@@ -40,10 +40,6 @@ class PhaseProfiler:
         finally:
             self.add(name, time.perf_counter() - start)
 
-    def merge(self, other: "PhaseProfiler") -> None:
-        for name, seconds in other._seconds.items():
-            self.add(name, seconds, other._counts[name])
-
     # ------------------------------------------------------------------
 
     def seconds(self, name: str) -> float:
@@ -66,8 +62,3 @@ class PhaseProfiler:
         parts = [f"{name}={seconds:.2f}s/{count}"
                  for name, (seconds, count) in self.report().items()]
         return "profile: " + (" ".join(parts) if parts else "no phases")
-
-    def as_extras(self, prefix: str = "wall") -> Mapping[str, float]:
-        """Flatten to ``{prefix}_{phase}_s`` keys for ``SimResult.extras``."""
-        return {f"{prefix}_{name}_s": seconds
-                for name, seconds in self._seconds.items()}

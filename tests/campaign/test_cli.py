@@ -36,21 +36,58 @@ class TestDryRun(object):
         assert "fig5" in capsys.readouterr().out
 
 
+def _figure_and_stats(out):
+    """A campaign's figure text and its ``[campaign ...]`` counters."""
+    figure, _, summary = out.partition("\n[campaign fig12: ")
+    return figure, dict(item.split("=") for item in
+                        summary.partition("]")[0].split(", "))
+
+
 class TestRun(object):
     def test_campaign_then_resume_fully_cached(self, capsys, tmp_path):
-        store = str(tmp_path / "store")
-        argv = ["campaign", "fig12", "--scale", "tiny",
-                "--store", store]
+        store = tmp_path / "store"
+        argv = ["campaign", "fig12", "--scale", "tiny", "--jobs", "2",
+                "--store", str(store)]
         assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "Fig. 12" in first
-        assert "simulated=24" in first
+        figure, stats = _figure_and_stats(capsys.readouterr().out)
+        assert "Fig. 12" in figure
+        assert stats["simulated"] == "24" and stats["failed"] == "0"
+
+        # Damage two records as bit rot and a torn write would: the
+        # resume quarantines both and simulates just those two jobs.
+        flipped, torn = sorted(store.glob("objects/*/*.rec"))[:2]
+        blob = flipped.read_bytes()
+        flipped.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
+        torn.write_bytes(torn.read_bytes()[:torn.stat().st_size // 2])
+        assert main(argv + ["--resume"]) == 0
+        resumed, stats = _figure_and_stats(capsys.readouterr().out)
+        assert stats["quarantined"] == "2" and stats["simulated"] == "2"
+        assert resumed == figure
 
         assert main(argv + ["--resume", "--expect-cached"]) == 0
-        second = capsys.readouterr().out
-        assert "simulated=0" in second
-        # Identical rendering from the store-backed resume.
-        assert first.splitlines()[:8] == second.splitlines()[:8]
+        cached, stats = _figure_and_stats(capsys.readouterr().out)
+        assert stats["simulated"] == "0" and stats["quarantined"] == "0"
+        assert cached == figure
+
+    def test_failed_job_renders_na_and_exits_1(self, capsys, monkeypatch):
+        from repro.exec.pool import execute_job
+        calls = []
+
+        def first_fails(job):
+            calls.append(job.key)
+            if len(calls) == 1:
+                raise RuntimeError("boom")
+            return execute_job(job)
+
+        monkeypatch.setattr("repro.exec.pool.execute_job", first_fails)
+        assert main(["campaign", "fig12", "--scale", "tiny",
+                     "--no-store"]) == 1
+        captured = capsys.readouterr()
+        figure, stats = _figure_and_stats(captured.out)
+        assert "n/a" in figure
+        assert stats["failed"] == "1" and stats["simulated"] == "23"
+        assert "1 failed run(s) rendered as n/a" in captured.err
+        assert "RuntimeError: boom" in captured.err
 
     def test_resume_requires_a_store(self, tmp_path):
         with pytest.raises(SystemExit, match="--resume needs"):
@@ -91,8 +128,8 @@ class TestSharedOptionErrors(object):
 
     def test_run_validates_exec_flags_identically(self):
         with pytest.raises(SystemExit,
-                           match="--timeout must be positive"):
-            main(["run", "bfs", "--timeout", "0"])
+                           match="--jobs must be a positive"):
+            main(["run", "bfs", "--jobs", "0"])
 
 
 class TestExecOptions(object):

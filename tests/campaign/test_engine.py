@@ -6,8 +6,9 @@ from pathlib import Path
 import pytest
 
 from repro.campaign import compile_plan, load_spec, run_campaign
-from repro.exec.faults import FaultPlan
-from repro.experiments.runner import SCALES, ExperimentRunner
+from repro.exec.pool import execute_job
+from repro.experiments.runner import (SCALES, ExperimentError,
+                                      ExperimentRunner)
 
 CAMPAIGNS = Path(__file__).resolve().parents[2] / "campaigns"
 
@@ -32,16 +33,27 @@ class TestResume(object):
         assert result.text
 
     def test_interrupted_campaign_resumes_from_the_store(self,
-                                                         tmp_path):
+                                                         tmp_path,
+                                                         monkeypatch):
         store = str(tmp_path / "store")
-        # Interrupt mid-campaign: crash-inject every job with no
-        # retries, so the run dies after the first batch begins but the
-        # store keeps whatever completed before the crash.
-        broken = ExperimentRunner(
-            scale=SCALES["tiny"], store=store, failsoft=False,
-            max_retries=0, fault_plan=FaultPlan(crash_every=3))
-        with pytest.raises(Exception):
+        # Every third job raises and the runner is not failsoft, so the
+        # campaign dies after its batch, but the store keeps every job
+        # that finished.
+        calls = []
+
+        def every_third_raises(job):
+            calls.append(job.key)
+            if len(calls) % 3 == 0:
+                raise RuntimeError("boom")
+            return execute_job(job)
+
+        monkeypatch.setattr("repro.exec.pool.execute_job",
+                            every_third_raises)
+        broken = ExperimentRunner(scale=SCALES["tiny"], store=store,
+                                  failsoft=False)
+        with pytest.raises(ExperimentError, match="boom"):
             run_campaign(spec("fig12"), broken)
+        monkeypatch.undo()
         survived = broken.execution_stats().get("writes", 0)
         assert survived < compile_plan(spec("fig12"),
                                        SCALES["tiny"]).total_jobs
@@ -85,13 +97,15 @@ class TestResume(object):
 
 
 class TestFailsoft(object):
-    def test_failed_cells_render_na(self, tmp_path):
-        # Every job dies permanently: the campaign still renders, with
-        # each metric cell as n/a instead of aborting.
-        runner = ExperimentRunner(
-            scale=SCALES["tiny"], store=None, failsoft=True,
-            max_retries=0, fault_plan=FaultPlan(crash_every=1,
-                                                attempts=99))
+    def test_failed_cells_render_na(self, tmp_path, monkeypatch):
+        # Every job fails: the campaign still renders, with each metric
+        # cell as n/a instead of aborting.
+        def boom(job):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("repro.exec.pool.execute_job", boom)
+        runner = ExperimentRunner(scale=SCALES["tiny"], store=None,
+                                  failsoft=True)
         result = run_campaign(spec("fig12"), runner)
         assert "n/a" in result.text
         assert runner.failures

@@ -1,9 +1,13 @@
-"""Job executor: serial/parallel parity, retries, timeouts, isolation.
+"""Job executor: serial/parallel parity, failures, crash isolation.
 
-Worker crash/hang handling forks real processes, so these tests use a
-micro scale (300 loads) to stay fast.
+Worker crash handling forks real processes, so these tests use a micro
+scale (300 loads) to stay fast.  Jobs fail for real: their traces are
+:class:`RaisingTrace` or :class:`DyingTrace` copies, whose columns the
+simulation reads first thing (the store key reads the buffers
+directly, so keying such a job in the parent is safe).
 """
 
+import dataclasses
 import os
 import signal
 import subprocess
@@ -13,16 +17,54 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec.faults import ENV_VAR, FaultPlan
-from repro.exec.pool import (Job, JobExecutor, MixJob, execute_job,
-                             failed_result, resource)
+from repro.exec.pool import (Job, JobExecutor, MixJob, WorkerHandle,
+                             execute_job, failed_result)
 from repro.exec.store import ResultStore, job_key, mix_job_key
 from repro.experiments.runner import BASELINE, Config, Scale
 from repro.sim.params import baseline
 from repro.workloads.mixes import generate_mixes, workload_pool
+from repro.workloads.trace import Trace
 
 SCALE = Scale("micro", 300, 2, 1, 2)
 SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+class RaisingTrace(Trace):
+    """A trace whose columns cannot be read: simulating it raises."""
+
+    def columns(self):
+        raise RuntimeError("unreadable trace columns")
+
+
+class DyingTrace(Trace):
+    """A trace whose columns kill the process reading them.  Simulate
+    it only in a pool worker, never in the test process."""
+
+    def columns(self):
+        os._exit(17)
+
+
+def as_trace(trace, cls):
+    """``trace``'s content as a ``cls``."""
+    return cls.from_columns(trace.name, *trace.columns(), suite=trace.suite)
+
+
+def with_trace(job, cls):
+    """``job`` with its trace replaced by a ``cls`` copy."""
+    return dataclasses.replace(job, trace=as_trace(job.trace, cls))
+
+
+def count_respawns(monkeypatch):
+    """A list that grows by one per worker respawn."""
+    respawns = []
+    respawn = WorkerHandle.respawn
+
+    def counted(self):
+        respawns.append(1)
+        respawn(self)
+
+    monkeypatch.setattr(WorkerHandle, "respawn", counted)
+    return respawns
 
 
 def make_jobs(config=BASELINE, n=3):
@@ -50,28 +92,29 @@ def reference():
     return [execute_job(job) for job in make_jobs()]
 
 
+def assert_one_failure(ex, outcomes, reference):
+    """Job 1 failed, once; jobs 0 and 2 match ``reference``."""
+    assert [o.ok for o in outcomes] == [True, False, True]
+    assert ex.failed == 1 and ex.simulated == 2
+    assert [outcomes[i].result.ipc for i in (0, 2)] == \
+        [reference[i].ipc for i in (0, 2)]
+
+
 class TestSerial:
     def test_basic_batch(self, reference):
         outcomes = JobExecutor(jobs=1).run_jobs(make_jobs())
-        assert all(o.ok and o.attempts == 1 for o in outcomes)
+        assert all(o.ok for o in outcomes)
         assert [o.result.ipc for o in outcomes] == \
             [r.ipc for r in reference]
 
-    def test_crash_retried(self):
-        plan = FaultPlan(crash_every=1, attempts=1)
-        ex = JobExecutor(jobs=1, backoff_s=0, fault_plan=plan)
-        outcomes = ex.run_jobs(make_jobs())
-        assert all(o.ok and o.attempts == 2 for o in outcomes)
-        assert ex.failed_attempts == len(outcomes)
-
-    def test_permanent_failure_isolated(self):
-        plan = FaultPlan(crash_every=1, attempts=99)
-        ex = JobExecutor(jobs=1, max_retries=1, backoff_s=0,
-                         fault_plan=plan)
-        outcomes = ex.run_jobs(make_jobs())
-        assert all(not o.ok for o in outcomes)
-        assert all("injected crash" in o.error for o in outcomes)
-        assert all(o.attempts == 2 for o in outcomes)  # 1 + 1 retry
+    def test_permanent_failure_isolated(self, reference):
+        jobs = make_jobs()
+        jobs[1] = with_trace(jobs[1], RaisingTrace)
+        ex = JobExecutor(jobs=1)
+        outcomes = ex.run_jobs(jobs)
+        assert_one_failure(ex, outcomes, reference)
+        assert outcomes[1].error == \
+            "RuntimeError: unreadable trace columns"
 
 
 class TestParallel:
@@ -81,39 +124,48 @@ class TestParallel:
         assert [o.result.ipc for o in outcomes] == \
             [r.ipc for r in reference]
 
-    def test_worker_exception_retried(self, reference):
-        plan = FaultPlan(crash_every=1, attempts=1)
-        ex = JobExecutor(jobs=2, backoff_s=0, fault_plan=plan)
-        outcomes = ex.run_jobs(make_jobs())
-        assert all(o.ok and o.attempts == 2 for o in outcomes)
-        assert [o.result.ipc for o in outcomes] == \
-            [r.ipc for r in reference]
+    def test_worker_exception_fails_once(self, reference, monkeypatch):
+        respawns = count_respawns(monkeypatch)
+        jobs = make_jobs()
+        jobs[1] = with_trace(jobs[1], RaisingTrace)
+        ex = JobExecutor(jobs=2)
+        outcomes = ex.run_jobs(jobs)
+        assert_one_failure(ex, outcomes, reference)
+        assert outcomes[1].error.endswith(
+            "RuntimeError: unreadable trace columns")
+        assert not respawns  # the worker survives a raising job
 
-    def test_dead_worker_respawned(self, reference):
-        plan = FaultPlan(die_every=1, attempts=1)
-        ex = JobExecutor(jobs=2, backoff_s=0, fault_plan=plan)
-        outcomes = ex.run_jobs(make_jobs())
-        assert all(o.ok and o.attempts == 2 for o in outcomes)
-        assert [o.result.ipc for o in outcomes] == \
-            [r.ipc for r in reference]
+    def test_dead_worker_respawned(self, tmp_path, monkeypatch):
+        # Job 1's worker dies; the job fails once, the worker is
+        # respawned, and the other three jobs run and are stored.
+        respawns = count_respawns(monkeypatch)
+        jobs = make_jobs(n=2) + make_jobs(Config(prefetcher="berti"), n=2)
+        jobs[1] = with_trace(jobs[1], DyingTrace)
+        store = ResultStore(tmp_path / "store")
+        ex = JobExecutor(jobs=2, store=store)
+        outcomes = ex.run_jobs(jobs)
+        assert [o.ok for o in outcomes] == [True, False, True, True]
+        assert outcomes[1].error == "worker died (exit code 17)"
+        assert ex.failed == 1 and ex.simulated == 3
+        assert store.writes == 3
+        assert respawns == [1]
 
-    def test_hung_worker_timed_out_and_retried(self, reference):
-        plan = FaultPlan(hang_every=1, attempts=1, hang_s=60)
-        ex = JobExecutor(jobs=2, timeout_s=1.0, backoff_s=0,
-                         fault_plan=plan)
-        outcomes = ex.run_jobs(make_jobs(n=2))
-        assert all(o.ok and o.attempts == 2 for o in outcomes)
-        assert ex.failed_attempts == 2
-        assert [o.result.ipc for o in outcomes] == \
-            [r.ipc for r in reference[:2]]
 
-    def test_permanent_timeout_reported(self):
-        plan = FaultPlan(hang_every=1, attempts=99, hang_s=60)
-        ex = JobExecutor(jobs=2, timeout_s=0.5, max_retries=0,
-                         backoff_s=0, fault_plan=plan)
-        outcomes = ex.run_jobs(make_jobs(n=1))
-        assert not outcomes[0].ok
-        assert "timed out" in outcomes[0].error
+    def test_worker_dead_while_idle_is_respawned_on_dispatch(self):
+        job = make_jobs(n=1)[0]
+        worker = WorkerHandle()
+        try:
+            dead = worker.process
+            dead.kill()
+            dead.join(timeout=5)
+            worker.dispatch(0, job)
+            assert worker.process is not dead
+            kind, result = worker.conn.recv()
+            assert kind == "ok" and result.ipc == execute_job(job).ipc
+            worker.index = None
+        finally:
+            worker.shutdown()
+        assert not worker.process.is_alive()
 
 
 # Holds two workers, reports their pids, then blocks until killed.
@@ -173,9 +225,8 @@ class TestParentDeath:
 
 
 class TestPerfExtras:
-    """The per-job perf extras must survive every recovery path: they are
-    attached by the (re)executing process, so a result delivered by a
-    respawned worker carries fresh measurements, not none at all."""
+    """The per-job wall times are attached by the executing process, so
+    a result delivered by a respawned worker carries them too."""
 
     def assert_perf_extras(self, outcomes):
         for outcome in outcomes:
@@ -183,37 +234,31 @@ class TestPerfExtras:
             extras = outcome.result.extras
             assert extras["wall_build_s"] >= 0.0
             assert extras["wall_simulate_s"] > 0.0
-            assert extras["instr_per_s"] > 0.0
-            if resource is not None:
-                assert extras["max_rss_kb"] > 0.0
 
     def test_extras_present_without_faults(self):
         self.assert_perf_extras(JobExecutor(jobs=1).run_jobs(make_jobs()))
 
-    def test_extras_survive_worker_respawn(self):
-        plan = FaultPlan(die_every=1, attempts=1)
-        ex = JobExecutor(jobs=2, backoff_s=0, fault_plan=plan)
-        outcomes = ex.run_jobs(make_jobs())
-        assert all(o.attempts == 2 for o in outcomes)
-        self.assert_perf_extras(outcomes)
+    def test_extras_survive_worker_respawn(self, monkeypatch):
+        respawns = count_respawns(monkeypatch)
+        jobs = make_jobs()
+        jobs[0] = with_trace(jobs[0], DyingTrace)
+        outcomes = JobExecutor(jobs=2).run_jobs(jobs)
+        assert respawns == [1]
+        assert not outcomes[0].ok
+        self.assert_perf_extras(outcomes[1:])
 
-    def test_mix_job_extras_survive_worker_respawn(self):
-        plan = FaultPlan(die_every=1, attempts=1)
-        ex = JobExecutor(jobs=2, backoff_s=0, fault_plan=plan)
-        outcomes = ex.run_jobs(make_mix_jobs())
-        assert all(o.attempts == 2 for o in outcomes)
-        self.assert_perf_extras(outcomes)
-        for outcome in outcomes:
+    def test_mix_job_extras_survive_worker_respawn(self, monkeypatch):
+        respawns = count_respawns(monkeypatch)
+        jobs = make_mix_jobs(n=3)
+        dying = (as_trace(jobs[0].traces[0], DyingTrace),) \
+            + jobs[0].traces[1:]
+        jobs[0] = dataclasses.replace(jobs[0], traces=dying)
+        outcomes = JobExecutor(jobs=2).run_jobs(jobs)
+        assert respawns == [1]
+        assert outcomes[0].error == "worker died (exit code 17)"
+        self.assert_perf_extras(outcomes[1:])
+        for outcome in outcomes[1:]:
             assert len(outcome.result.per_core) == 2
-
-    def test_extras_survive_env_injected_faults(self, monkeypatch):
-        # The REPRO_FAULTS path CI uses: plan parsed from the
-        # environment, not passed explicitly.
-        monkeypatch.setenv(ENV_VAR, "die:1")
-        ex = JobExecutor(jobs=2, backoff_s=0)
-        outcomes = ex.run_jobs(make_jobs(n=2))
-        assert all(o.ok and o.attempts == 2 for o in outcomes)
-        self.assert_perf_extras(outcomes)
 
 
 class TestStoreIntegration:
@@ -232,11 +277,10 @@ class TestStoreIntegration:
             [r.ipc for r in reference]
 
     def test_failed_jobs_not_persisted(self, tmp_path):
-        plan = FaultPlan(crash_every=1, attempts=99)
-        store = ResultStore(tmp_path / "store", fault_plan=plan)
-        ex = JobExecutor(jobs=1, max_retries=0, backoff_s=0,
-                         store=store, fault_plan=plan)
-        outcomes = ex.run_jobs(make_jobs(n=1))
+        store = ResultStore(tmp_path / "store")
+        ex = JobExecutor(jobs=1, store=store)
+        outcomes = ex.run_jobs([with_trace(make_jobs(n=1)[0],
+                                           RaisingTrace)])
         assert not outcomes[0].ok
         assert store.writes == 0
 
@@ -296,5 +340,3 @@ class TestFailedResult:
     def test_executor_validates_arguments(self):
         with pytest.raises(ValueError):
             JobExecutor(jobs=0)
-        with pytest.raises(ValueError):
-            JobExecutor(max_retries=-1)

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from repro.exec.faults import FaultPlan
 from repro.exec.store import (ResultStore, StoreError, job_key,
                               mix_job_key, trace_fingerprint)
 from repro.experiments.runner import BASELINE, SCALES, Config, Scale
@@ -99,17 +98,24 @@ class TestCorruption:
         store.put(KEY, "recomputed")
         assert store.get(KEY) == "recomputed"
 
-    def test_injected_corruption_once(self, tmp_path):
-        plan = FaultPlan(corrupt_every=1)
-        store = ResultStore(tmp_path / "s", fault_plan=plan)
-        store.put(KEY, "v1")
-        assert store.injected_corruptions == 1
-        assert store.get(KEY) is None  # quarantined
-        store.put(KEY, "v2")
-        # The persisted marker prevents endless re-corruption, even from
-        # a fresh store instance over the same directory.
-        fresh = ResultStore(tmp_path / "s", fault_plan=plan)
-        assert fresh.get(KEY) == "v2"
+    def test_quarantine_never_overwrites_an_earlier_copy(self, tmp_path):
+        # Two store objects over one root quarantine the same key in
+        # turn; each counts its own, and both copies are kept.
+        root = tmp_path / "s"
+        copies = []
+        for value in ("v1", "v2"):
+            ResultStore(root).put(KEY, value)
+            path = self._record_path(ResultStore(root))
+            blob = bytearray(path.read_bytes())
+            blob[-1] ^= 0xFF
+            path.write_bytes(bytes(blob))
+            copies.append(bytes(blob))
+            store = ResultStore(root)
+            assert store.get(KEY) is None
+            assert store.quarantined == 1
+        kept = sorted(store.quarantine_dir.iterdir())
+        assert [p.name for p in kept] == [f"{KEY}.rec.1", f"{KEY}.rec.2"]
+        assert [p.read_bytes() for p in kept] == copies
 
 
 class TestRootHandling:
@@ -195,30 +201,6 @@ class TestDurability:
         store = ResultStore(tmp_path / "s", fsync=True)
         store.put(KEY, {"v": 9})
         assert store.get(KEY) == {"v": 9}
-
-
-class TestTornWrites:
-    def test_injected_torn_write_quarantined_then_healed(self, tmp_path):
-        plan = FaultPlan.parse("torn:1")
-        store = ResultStore(tmp_path / "s", fault_plan=plan)
-        store.put(KEY, {"v": 7})
-        assert store.injected_torn_writes == 1
-        # The torn record fails verification and is quarantined, exactly
-        # like real filesystem damage.
-        assert store.get(KEY) is None
-        assert store.quarantined == 1
-        # Recompute heals: the marker stops a second tear, even from a
-        # fresh store instance over the same directory.
-        store.put(KEY, {"v": 7})
-        fresh = ResultStore(tmp_path / "s", fault_plan=plan)
-        assert fresh.get(KEY) == {"v": 7}
-        assert fresh.injected_torn_writes == 0
-
-    def test_torn_write_counted_in_stats(self, tmp_path):
-        plan = FaultPlan.parse("torn:1")
-        store = ResultStore(tmp_path / "s", fault_plan=plan)
-        store.put(KEY, "x")
-        assert store.stats()["injected_torn_writes"] == 1
 
 
 def _pinned_trace(name, n, suite="spec"):

@@ -1,19 +1,32 @@
 """Experiment runner: scales, configs, memoization, prefetcher specs."""
 
 import math
+import os
 
 import pytest
 
 from repro.core.timely import TimelyPrefetcher
 from repro.core.tsb import TSBPrefetcher
-from repro.exec.faults import FaultPlan
 from repro.experiments import (BASELINE, Config, ExperimentError,
                                ExperimentRunner, SCALES, Scale,
                                current_scale)
 from repro.prefetchers import MODE_ON_ACCESS, MODE_ON_COMMIT
+from repro.workloads.trace import Trace
 
 #: Small enough that executor tests fork and simulate in milliseconds.
 MICRO = Scale("micro", 300, 2, 1, 2)
+
+
+def _boom(job):
+    raise RuntimeError("boom")
+
+
+class DyingTrace(Trace):
+    """A trace whose columns kill the process reading them.  Simulate
+    it only in a pool worker, never in the test process."""
+
+    def columns(self):
+        os._exit(17)
 
 
 @pytest.fixture(scope="module")
@@ -214,52 +227,62 @@ class TestExecutionLayer:
         assert stats["simulated"] == len(pool) - 1
 
     def test_corrupt_record_quarantined_and_recomputed(self, tmp_path):
-        plan = FaultPlan(corrupt_every=1)
-        first = ExperimentRunner(scale=MICRO, store=tmp_path / "store",
-                                 fault_plan=plan)
+        first = ExperimentRunner(scale=MICRO, store=tmp_path / "store")
         trace = first.pool()[0]
         first.run(BASELINE, trace)
-        assert first.execution_stats()["injected_corruptions"] == 1
+        (record,) = (tmp_path / "store" / "objects").glob("*/*.rec")
+        blob = record.read_bytes()
+        record.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
 
-        second = ExperimentRunner(scale=MICRO, store=tmp_path / "store",
-                                  fault_plan=plan)
+        second = ExperimentRunner(scale=MICRO, store=tmp_path / "store")
         result = second.run(BASELINE, trace)
         stats = second.execution_stats()
         assert stats["quarantined"] == 1 and stats["simulated"] == 1
         assert result.ipc > 0
 
-        third = ExperimentRunner(scale=MICRO, store=tmp_path / "store",
-                                 fault_plan=plan)
+        third = ExperimentRunner(scale=MICRO, store=tmp_path / "store")
         third.run(BASELINE, trace)
         stats = third.execution_stats()
         assert stats["hits"] == 1 and stats["simulated"] == 0
 
     def test_worker_crash_recovery_under_parallel_sweep(self, tmp_path):
-        plan = FaultPlan(crash_every=1, attempts=1)
-        runner = ExperimentRunner(scale=MICRO, jobs=2,
-                                  store=tmp_path / "store",
-                                  fault_plan=plan, backoff_s=0)
-        results = runner.run_pool(BASELINE)
-        assert all(r.ipc > 0 for r in results)
-        assert runner.execution_stats()["failed_attempts"] == len(results)
+        # One job's worker dies: that cell alone fails, once, and the
+        # sweep finishes on the respawned worker.
+        runner = ExperimentRunner(scale=MICRO, jobs=2, failsoft=True,
+                                  store=tmp_path / "store")
+        traces = list(runner.pool())
+        dying = traces[1]
+        traces[1] = DyingTrace.from_columns(dying.name, *dying.columns(),
+                                            suite=dying.suite)
+        results = runner.run_pool(BASELINE, traces)
+        assert math.isnan(results[1].ipc)
+        assert all(r.ipc > 0 for i, r in enumerate(results) if i != 1)
+        stats = runner.execution_stats()
+        assert stats["failed"] == 1
+        assert stats["simulated"] == stats["writes"] == len(traces) - 1
+        assert [f.error for f in runner.failures] == \
+            ["worker died (exit code 17)"]
 
-    def test_permanent_failure_raises_by_default(self):
-        plan = FaultPlan(crash_every=1, attempts=99)
-        runner = ExperimentRunner(scale=MICRO, fault_plan=plan,
-                                  max_retries=0, backoff_s=0)
-        with pytest.raises(ExperimentError, match="injected crash"):
+    def test_max_retries_accepts_only_zero(self):
+        ExperimentRunner(scale=MICRO, max_retries=0)
+        with pytest.raises(ValueError, match="max_retries"):
+            ExperimentRunner(scale=MICRO, max_retries=2)
+
+    def test_permanent_failure_raises_by_default(self, monkeypatch):
+        monkeypatch.setattr("repro.exec.pool.execute_job", _boom)
+        runner = ExperimentRunner(scale=MICRO)
+        with pytest.raises(ExperimentError, match="RuntimeError: boom"):
             runner.run(BASELINE, runner.pool()[0])
+        assert runner.execution_stats()["failed"] == 1
 
-    def test_failsoft_renders_sentinel(self):
-        plan = FaultPlan(crash_every=1, attempts=99)
-        runner = ExperimentRunner(scale=MICRO, fault_plan=plan,
-                                  max_retries=0, backoff_s=0,
-                                  failsoft=True)
+    def test_failsoft_renders_sentinel(self, monkeypatch):
+        monkeypatch.setattr("repro.exec.pool.execute_job", _boom)
+        runner = ExperimentRunner(scale=MICRO, failsoft=True)
         result = runner.run(BASELINE, runner.pool()[0])
         assert math.isnan(result.ipc)
         assert result.extras["failed"] == 1.0
         assert len(runner.failures) == 1
-        assert "injected crash" in runner.failure_summary()
+        assert "RuntimeError: boom" in runner.failure_summary()
 
     def test_unwritable_store_degrades_gracefully(self, capsys):
         runner = ExperimentRunner(scale=MICRO,

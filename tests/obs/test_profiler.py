@@ -33,16 +33,6 @@ class TestPhaseProfiler:
                 raise RuntimeError
         assert prof.count("boom") == 1
 
-    def test_merge(self):
-        a, b = PhaseProfiler(), PhaseProfiler()
-        a.add("x", 1.0)
-        b.add("x", 2.0, count=3)
-        b.add("y", 0.5)
-        a.merge(b)
-        assert a.seconds("x") == pytest.approx(3.0)
-        assert a.count("x") == 4
-        assert a.count("y") == 1
-
     def test_report_sorted_by_time(self):
         prof = PhaseProfiler()
         prof.add("fast", 0.1)
@@ -54,11 +44,6 @@ class TestPhaseProfiler:
         assert prof.summary_line() == "profile: no phases"
         prof.add("sim", 1.25, count=2)
         assert prof.summary_line() == "profile: sim=1.25s/2"
-
-    def test_as_extras(self):
-        prof = PhaseProfiler()
-        prof.add("simulate", 2.0)
-        assert prof.as_extras() == {"wall_simulate_s": 2.0}
 
     def test_format_profile_renders(self):
         prof = PhaseProfiler()

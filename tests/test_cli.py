@@ -37,6 +37,14 @@ class TestParser:
         assert exc.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_retired_timeout_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", "fig1", "--scale", "tiny", "--no-store",
+                  "--timeout", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --timeout 5" in \
+            capsys.readouterr().err
+
 
 class TestCommands:
     def test_workloads(self, capsys):
