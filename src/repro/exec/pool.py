@@ -52,10 +52,6 @@ class Job:
     scale: Any    # repro.experiments.runner.Scale
     params: Any   # repro.sim.params.SystemParams
 
-    @property
-    def label(self) -> str:
-        return f"{self.config.label()} @ {self.trace.name}"
-
 
 @dataclass(frozen=True)
 class MixJob:
@@ -72,11 +68,6 @@ class MixJob:
     cores: int
     scale: Any      # repro.experiments.runner.Scale
     params: Any     # repro.sim.params.SystemParams
-
-    @property
-    def label(self) -> str:
-        mix = "+".join(trace.name for trace in self.traces)
-        return f"{self.config.label()} @ {mix}"
 
 
 @dataclass

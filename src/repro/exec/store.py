@@ -7,8 +7,8 @@ actual records, the experiment scale, and the
 :class:`~repro.sim.params.SystemParams` digest -- so a result is reused iff
 the simulation it answers for would be bit-identical.  The trace
 fingerprint (:func:`trace_fingerprint`) hashes the records as the bytes
-of a ``.rtrace`` file's column section, so a trace loaded from the trace
-cache is keyed straight from its buffers.
+of a ``.rtrace`` file's column section, which are the buffers every
+trace holds.
 
 On-disk layout (under the store root)::
 
@@ -87,13 +87,9 @@ def trace_fingerprint(trace) -> str:
     """Content hash of a trace: name, suite, record count and records.
 
     The records are hashed as the ``.rtrace`` version-2 column section
-    (:func:`repro.workloads.io.column_section`): ips and vaddrs as
-    little-endian int64, then flags as u8.  A columnar trace is hashed
-    from its own buffers, a record-built one a chunk at a time, and the
-    two give one key for one content.  A trace holding a value that
-    section cannot (an address of 2**63 or more, a flag above 255) has
-    its records hashed as ``b"%d,%d,%d;"`` text under its own tag
-    instead.
+    (:func:`repro.workloads.io.column_section`), straight from the
+    trace's buffers: ips and vaddrs as little-endian int64, then flags
+    as u8.
 
     Cached on the trace object -- fingerprinting a 50k-record trace once
     per process is cheap, doing it per job is not.
@@ -101,19 +97,12 @@ def trace_fingerprint(trace) -> str:
     cached = getattr(trace, "_fingerprint", None)
     if cached is not None:
         return cached
-    head = hashlib.sha256(
+    h = hashlib.sha256(
         f"{trace.name}\x00{trace.suite}\x00{len(trace)}\x00"
         .encode("utf-8"))
-    h = head.copy()
     h.update(b"columns-v2\x00")
-    try:
-        for piece in column_section(trace):
-            h.update(piece)
-    except (OverflowError, ValueError):
-        h = head.copy()
-        h.update(b"decimal\x00")
-        for record in trace.records:
-            h.update(b"%d,%d,%d;" % record)
+    for piece in column_section(trace):
+        h.update(piece)
     fingerprint = h.hexdigest()
     try:
         trace._fingerprint = fingerprint

@@ -21,9 +21,7 @@ holds these columns:
     2-vCPU Xeon VM; docs/PERFORMANCE.md, "Typed columns").
 ``ips``
     instruction pointers, indexed only for loads: the trace's own
-    ``array('q')`` ips column, shared rather than copied, or an
-    ``array('q')`` built from a record-built trace's ips.  It is a list
-    only where an ip does not fit in int64.
+    ``array('q')`` ips column, shared rather than copied.
 ``cum``
     committed-record prefix counts, an ``array('q')``: ``cum[j]`` is the
     number of committed-path records among ``records[0..j]``.  The outer
@@ -56,7 +54,7 @@ import os
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
-from typing import List, Sequence
+from typing import List
 
 from ..workloads.trace import (FLAG_BRANCH, FLAG_LOAD, FLAG_MISPREDICT,
                                FLAG_STORE, FLAG_WRONG_PATH)
@@ -114,7 +112,7 @@ class BatchPlan:
     __slots__ = ("n", "codes", "blocks", "ips", "cum", "same_page",
                  "committed_total")
 
-    def __init__(self, codes: bytes, blocks: List[int], ips: Sequence[int],
+    def __init__(self, codes: bytes, blocks: List[int], ips: array,
                  cum: array, same_page: bytes) -> None:
         self.n = len(codes)
         self.codes = codes
@@ -129,34 +127,10 @@ class BatchPlan:
         return bisect_left(self.cum, k)
 
 
-def _as_flag_bytes(flags: Sequence[int]) -> bytes:
-    if isinstance(flags, bytes):
-        return flags
-    # One byte per element: ``bytes()`` of a multi-byte array such as
-    # ``array('q')`` would copy its raw buffer instead.
-    return bytes(iter(flags))
-
-
-def _ips_column(ips: Sequence[int]) -> Sequence[int]:
-    """``ips`` as an ``array('q')``: the trace's own column when it is
-    one, else a copy, or a list where an ip does not fit in int64."""
-    if isinstance(ips, array) and ips.typecode == "q":
-        return ips
-    try:
-        return array("q", ips)
-    except OverflowError:
-        return ips if type(ips) is list else list(ips)
-
-
 def _prescan_numpy(ips, vaddrs, flags) -> BatchPlan:
-    flag_bytes = _as_flag_bytes(flags)
-    flags_np = np.frombuffer(flag_bytes, dtype=np.uint8)
-    codes_np = _NP_CODE_TABLE[flags_np]
-    if isinstance(vaddrs, array) and vaddrs.typecode == "q":
-        vaddrs_np = np.frombuffer(vaddrs, dtype=np.int64)
-    else:  # a list, or an array whose raw buffer is not int64
-        vaddrs_np = np.asarray(vaddrs, dtype=np.int64)
-    blocks_np = vaddrs_np >> 6  # BLOCK_SHIFT; arithmetic shift keeps -1
+    codes_np = _NP_CODE_TABLE[np.frombuffer(flags, dtype=np.uint8)]
+    # BLOCK_SHIFT; the arithmetic shift keeps -1
+    blocks_np = np.frombuffer(vaddrs, dtype=np.int64) >> 6
     # dTLB same-page chain over load records only (committed and wrong
     # path -- both touch the TLB, in record order).
     load_idx = np.flatnonzero((codes_np == C_LOAD)
@@ -168,13 +142,12 @@ def _prescan_numpy(ips, vaddrs, flags) -> BatchPlan:
     cum = array("q")
     cum.frombytes(np.cumsum(codes_np < C_WRONG_LOAD, dtype=np.int64)
                   .view(np.uint8))
-    return BatchPlan(codes_np.tobytes(), blocks_np.tolist(),
-                     _ips_column(ips), cum, same_np.tobytes())
+    return BatchPlan(codes_np.tobytes(), blocks_np.tolist(), ips, cum,
+                     same_np.tobytes())
 
 
 def _prescan_stdlib(ips, vaddrs, flags) -> BatchPlan:
-    flag_bytes = _as_flag_bytes(flags)
-    codes = flag_bytes.translate(CODE_TABLE)
+    codes = flags.translate(CODE_TABLE)
     blocks = [v >> 6 for v in vaddrs]
     cum = array("q", accumulate(codes.translate(_COMMIT_TABLE)))
     same_page = bytearray(len(codes))
@@ -187,7 +160,7 @@ def _prescan_stdlib(ips, vaddrs, flags) -> BatchPlan:
                 same_page[j] = 1
             else:
                 prev_page = page
-    return BatchPlan(codes, blocks, _ips_column(ips), cum, bytes(same_page))
+    return BatchPlan(codes, blocks, ips, cum, bytes(same_page))
 
 
 def prescan(trace) -> BatchPlan:

@@ -8,8 +8,8 @@ from .spec import SPEC_WORKLOADS, spec_trace, spec_traces
 from .synthetic import (TraceBuilder, hot_cold_trace, interleave,
                         pointer_chase_trace, region_trace, stream_trace)
 from .trace import (BLOCK_SHIFT, BLOCK_SIZE, FLAG_BRANCH, FLAG_LOAD,
-                    FLAG_MISPREDICT, FLAG_STORE, FLAG_WRONG_PATH, Instr,
-                    Trace, alu, block_of, branch, load, store)
+                    FLAG_MISPREDICT, FLAG_STORE, FLAG_WRONG_PATH, Trace,
+                    alu, block_of, branch, load, store)
 
 __all__ = [
     "GAP_KERNELS", "build_graph", "gap_trace", "gap_traces",
@@ -20,6 +20,6 @@ __all__ = [
     "TraceBuilder", "hot_cold_trace", "interleave", "pointer_chase_trace",
     "region_trace", "stream_trace",
     "BLOCK_SHIFT", "BLOCK_SIZE", "FLAG_BRANCH", "FLAG_LOAD",
-    "FLAG_MISPREDICT", "FLAG_STORE", "FLAG_WRONG_PATH", "Instr", "Trace",
+    "FLAG_MISPREDICT", "FLAG_STORE", "FLAG_WRONG_PATH", "Trace",
     "alu", "block_of", "branch", "load", "store",
 ]

@@ -15,8 +15,9 @@ Format (``.rtrace``, gzip-compressed):
   vaddr (i64, -1 for non-memory), flags (u8);
 * version 2 (current writer): the same data *columnar* -- all ips
   (i64 little-endian), then all vaddrs (i64), then all flags (u8).
-  Columns load straight into a lazy :class:`Trace` without a per-record
-  unpack loop, and compress slightly better.
+  These are the columns a :class:`Trace` holds, so a trace is written
+  from its buffers and loaded into them without a per-record loop, and
+  columns compress slightly better.
 
 The format is versioned; readers reject unknown versions rather than
 guessing.
@@ -28,9 +29,8 @@ import gzip
 import struct
 import sys
 from array import array
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Union
+from typing import Tuple, Union
 
 from .trace import Trace
 
@@ -39,10 +39,6 @@ VERSION = 2
 
 _HEADER = struct.Struct("<4sHHQ")
 _RECORD = struct.Struct("<qqB")  # version-1 row encoding
-
-#: Records converted per piece by :func:`column_section` when a column
-#: is not already in the file's layout.
-CHUNK = 4096
 
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
@@ -60,44 +56,20 @@ class TraceFormatError(ValueError):
     """Raised for malformed or incompatible trace files."""
 
 
-def _pieces(trace: Trace, field: int) -> Iterator[list]:
-    """One field of ``trace`` as lists of at most :data:`CHUNK` values."""
-    if trace._cols is not None:
-        column = trace._cols[field]
-        return (list(column[i:i + CHUNK])
-                for i in range(0, len(column), CHUNK))
-    records = trace.records
-    pick = itemgetter(field)
-    return (list(map(pick, records[i:i + CHUNK]))
-            for i in range(0, len(records), CHUNK))
-
-
-def column_section(trace: Trace) -> Iterator[Union[bytes, array]]:
-    """The version-2 column section of ``trace``, in pieces.
+def column_section(trace: Trace) -> Tuple[array, array, bytes]:
+    """The version-2 column section of ``trace``, in three pieces.
 
     The bytes :func:`save_trace` writes after the name blocks, which the
-    result store also hashes to key a trace.  A columnar trace's
-    ``array('q')`` columns and ``bytes`` flags are yielded as they are;
-    anything else is converted :data:`CHUNK` records at a time.
-    Iterating raises ``OverflowError`` for an ip or vaddr outside int64
-    and ``ValueError`` for a flag outside 0..255.
+    result store also hashes to key a trace: the trace's ``array('q')``
+    ips and vaddrs and its ``bytes`` flags, read from the buffers it
+    holds (not through :meth:`Trace.columns`).
     """
-    ips, vaddrs, flags = trace._cols or (None, None, None)
-    for field, column in ((0, ips), (1, vaddrs)):
-        if _LITTLE_ENDIAN and isinstance(column, array) \
-                and column.typecode == "q":
-            yield column
-            continue
-        for piece in _pieces(trace, field):
-            piece = array("q", piece)
-            if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts
-                piece.byteswap()
-            yield piece
-    if isinstance(flags, (bytes, bytearray)):
-        yield flags
-    else:
-        for piece in _pieces(trace, 2):
-            yield bytes(piece)
+    ips, vaddrs, flags = trace._cols
+    if not _LITTLE_ENDIAN:  # pragma: no cover - big-endian hosts only
+        ips, vaddrs = array("q", ips), array("q", vaddrs)
+        ips.byteswap()
+        vaddrs.byteswap()
+    return ips, vaddrs, flags
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:
@@ -107,18 +79,14 @@ def save_trace(trace: Trace, path: Union[str, Path]) -> None:
     suite_bytes = trace.suite.encode("utf-8")
     # zlib's default level: level 9 (gzip's default) took several times
     # as long for files a few percent smaller.
-    try:
-        with gzip.open(path, "wb", compresslevel=6) as handle:
-            handle.write(_HEADER.pack(MAGIC, VERSION, 0, len(trace)))
-            handle.write(struct.pack("<H", len(name_bytes)))
-            handle.write(name_bytes)
-            handle.write(struct.pack("<H", len(suite_bytes)))
-            handle.write(suite_bytes)
-            for piece in column_section(trace):
-                handle.write(piece)
-    except (OverflowError, ValueError):
-        path.unlink(missing_ok=True)  # leave no half-written file
-        raise
+    with gzip.open(path, "wb", compresslevel=6) as handle:
+        handle.write(_HEADER.pack(MAGIC, VERSION, 0, len(trace)))
+        handle.write(struct.pack("<H", len(name_bytes)))
+        handle.write(name_bytes)
+        handle.write(struct.pack("<H", len(suite_bytes)))
+        handle.write(suite_bytes)
+        for piece in column_section(trace):
+            handle.write(piece)
 
 
 def load_trace(path: Union[str, Path]) -> Trace:

@@ -136,26 +136,9 @@ class TraceBuilder:
             self.records.append((ip, addr, wp_flags))
 
     def build(self) -> Trace:
-        """The appended records as a columnar trace (:func:`_typed_trace`)."""
-        return _typed_trace(self.name, self.records, suite=self.suite)
-
-
-def _typed_trace(name: str, records: List[Record],
-                suite: str = "synthetic") -> Trace:
-    """A columnar trace of ``records``: ``array('q')`` ips and vaddrs and
-    ``bytes`` flags, the layout the stream generators and the trace
-    cache produce, so the trace holds no record tuple and its prescan
-    and store key read buffers.  A value int64 or u8 cannot hold (an
-    address of 2**63 or more, a flag above 255) keeps the record-built
-    trace instead.
-    """
-    try:
-        ips = array("q", [r[0] for r in records])
-        vaddrs = array("q", [r[1] for r in records])
-        flags = bytes([r[2] for r in records])
-    except (OverflowError, ValueError):
-        return Trace(name, records, suite=suite)
-    return Trace.from_columns(name, ips, vaddrs, flags, suite=suite)
+        """The appended records as a :class:`Trace`, which raises
+        ``ValueError`` for a value its columns cannot hold."""
+        return Trace(self.name, self.records, suite=self.suite)
 
 
 # ----------------------------------------------------------------------
@@ -517,18 +500,14 @@ def hot_cold_trace(name: str, n_loads: int, *, hot_kb: int = 24,
 
 def interleave(traces: Iterable[Trace], name: str,
                chunk: int = 64) -> Trace:
-    """Round-robin interleave several traces (used to mix behaviours)."""
-    iters = [iter(t.records) for t in traces]
-    records: List[Record] = []
-    alive = list(range(len(iters)))
-    while alive:
-        for idx in list(alive):
-            taken = 0
-            for record in iters[idx]:
-                records.append(record)
-                taken += 1
-                if taken >= chunk:
-                    break
-            if taken < chunk:
-                alive.remove(idx)
-    return _typed_trace(name, records)
+    """Round-robin interleave several traces (used to mix behaviours):
+    ``chunk`` records from each trace in turn, until all are spent."""
+    columns = [trace.columns() for trace in traces]
+    ips, vaddrs, flags = array("q"), array("q"), bytearray()
+    longest = max((len(cols[2]) for cols in columns), default=0)
+    for start in range(0, longest, chunk):
+        for t_ips, t_vaddrs, t_flags in columns:
+            ips += t_ips[start:start + chunk]
+            vaddrs += t_vaddrs[start:start + chunk]
+            flags += t_flags[start:start + chunk]
+    return Trace.from_columns(name, ips, vaddrs, bytes(flags))

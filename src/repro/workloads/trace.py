@@ -7,21 +7,24 @@ shadow of a mispredicted branch.  Wrong-path records execute speculatively
 (they access the memory hierarchy and, on a non-secure system, pollute it and
 train on-access prefetchers) but they never commit.
 
-For speed each record is a plain tuple ``(ip, vaddr, flags)``:
+Each record is an ``(ip, vaddr, flags)`` triple:
 
 * ``ip``    -- instruction pointer (integer, byte address).
 * ``vaddr`` -- virtual byte address of the memory operand, or ``-1`` when the
   instruction does not touch memory.
 * ``flags`` -- bitwise OR of the ``FLAG_*`` constants below.
 
-The :class:`Instr` dataclass offers a readable view of a record for tests and
-examples; the hot simulator loops index the tuples directly.
+A :class:`Trace` stores its records as three typed columns, the layout
+of ChampSim's fixed-width binary records and of a version-2 ``.rtrace``
+file (:mod:`repro.workloads.io`): ``array('q')`` ips and vaddrs and
+``bytes`` flags, 17 bytes per record.  The record builders below return
+tuples, for traces built by hand with ``Trace(name, records)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from array import array
+from typing import Iterator, List, Sequence, Tuple, Union
 
 #: Record flag bits.
 FLAG_LOAD = 0x01
@@ -30,9 +33,9 @@ FLAG_BRANCH = 0x04
 FLAG_MISPREDICT = 0x08  # only meaningful when FLAG_BRANCH is set
 FLAG_WRONG_PATH = 0x10  # transient record: executes, never commits
 
-#: Every flag-byte value with FLAG_WRONG_PATH set; lets the columnar
-#: wrong-path count run as a handful of C-speed ``bytes.count`` scans.
-_WRONG_PATH_BYTES = tuple(v for v in range(256) if v & FLAG_WRONG_PATH)
+#: Every flag-byte value without FLAG_WRONG_PATH; deleting them from a
+#: flags column leaves its wrong-path records, in one C-speed pass.
+_COMMITTED_BYTES = bytes(v for v in range(256) if not v & FLAG_WRONG_PATH)
 
 #: Cache block size used throughout the simulator (bytes).
 BLOCK_SIZE = 64
@@ -40,47 +43,16 @@ BLOCK_SHIFT = 6
 
 Record = Tuple[int, int, int]
 
+#: Per column: the field's name, its value range and the type named in
+#: the error for a value outside it.
+_FIELDS = (("ip", -2**63, 2**63 - 1, "int64"),
+           ("vaddr", -2**63, 2**63 - 1, "int64"),
+           ("flags", 0, 255, "u8"))
+
 
 def block_of(addr: int) -> int:
     """Return the cache-block number of a byte address."""
     return addr >> BLOCK_SHIFT
-
-
-@dataclass(frozen=True)
-class Instr:
-    """Readable view of one trace record."""
-
-    ip: int
-    vaddr: int = -1
-    flags: int = 0
-
-    @property
-    def is_load(self) -> bool:
-        return bool(self.flags & FLAG_LOAD)
-
-    @property
-    def is_store(self) -> bool:
-        return bool(self.flags & FLAG_STORE)
-
-    @property
-    def is_branch(self) -> bool:
-        return bool(self.flags & FLAG_BRANCH)
-
-    @property
-    def is_mispredict(self) -> bool:
-        return bool(self.flags & FLAG_MISPREDICT)
-
-    @property
-    def is_wrong_path(self) -> bool:
-        return bool(self.flags & FLAG_WRONG_PATH)
-
-    @property
-    def is_mem(self) -> bool:
-        return self.vaddr >= 0
-
-    def record(self) -> Record:
-        """Return the compact tuple representation."""
-        return (self.ip, self.vaddr, self.flags)
 
 
 def load(ip: int, vaddr: int, *, wrong_path: bool = False) -> Record:
@@ -105,129 +77,124 @@ def branch(ip: int, *, mispredict: bool = False) -> Record:
     return (ip, -1, flags)
 
 
+def _typed_column(name: str, field: int,
+                  values: Sequence[int]) -> Union[array, bytes]:
+    """Column ``field`` as ``array('q')`` (ips, vaddrs) or ``bytes``
+    (flags): kept as it is when it already has that type, else converted
+    once.  A value the type cannot hold raises ``ValueError`` naming the
+    trace, the field, the record index and the value; the record is
+    looked for only after the conversion has failed.
+    """
+    try:
+        if field < 2:
+            if type(values) is array and values.typecode == "q":
+                return values
+            return array("q", values)
+        if type(values) is bytes:
+            return values
+        # bytes() of a multi-byte array would copy its raw buffer, so
+        # anything but a list converts element by element.
+        return bytes(values if type(values) is list else iter(values))
+    except (OverflowError, ValueError):
+        label, low, high, kind = _FIELDS[field]
+        for index, value in enumerate(values):
+            if not low <= value <= high:
+                raise ValueError(
+                    f"trace {name!r}: record {index}: {label} {value} "
+                    f"does not fit in {kind}") from None
+        raise
+
+
 class Trace:
     """An ordered sequence of trace records with a name and provenance.
 
-    ``records`` mixes committed-path and wrong-path records.  The committed
-    instruction count (used for IPC and per-kilo-instruction metrics) excludes
-    wrong-path records.
+    The records mix committed-path and wrong-path records.  The
+    committed instruction count (used for IPC and per-kilo-instruction
+    metrics) excludes wrong-path records.
 
-    Every generator, and :func:`repro.workloads.io.load_trace`, builds
-    its trace from typed *columns* (see :meth:`from_columns`):
-    ``array('q')`` ips and vaddrs and ``bytes`` flags, 17 bytes per
-    record.  The prescan and the store key read those buffers, and the
-    record tuples that most callers never touch are materialized lazily
-    on first ``.records`` access.  Columnar traces also pickle as
-    columns, which keeps multiprocess job payloads small.  A trace built
-    from records keeps its tuples (a tuple, a list slot and up to three
-    int objects per record); generators fall back to that only for a
-    value int64 or u8 cannot hold.
+    A trace holds its records as typed columns (:meth:`columns`):
+    ``array('q')`` ips and vaddrs and ``bytes`` flags.
+    ``Trace(name, records)`` transposes a sequence of record tuples into
+    them once; :meth:`from_columns` takes the columns.  The prescan
+    (:mod:`repro.sim.batch`), the store key and :func:`~repro.workloads.
+    io.save_trace` read those buffers, and a pickled trace ships them.
+    :attr:`records` and iteration build ``(ip, vaddr, flags)`` tuples on
+    demand, for inspection and tests.  A value a column cannot hold (an
+    address of 2**63 or more, a flag above 255) raises ``ValueError``
+    when the trace is built.
     """
 
     def __init__(self, name: str, records: Sequence[Record],
                  suite: str = "synthetic") -> None:
-        self.name = name
-        self.suite = suite
-        self._records: Optional[List[Record]] = list(records)
-        self._cols: Optional[Tuple[Sequence[int], Sequence[int],
-                                   Sequence[int]]] = None
-        self.committed_count = sum(
-            1 for (_, _, flags) in self._records
-            if not flags & FLAG_WRONG_PATH)
+        # One field at a time, so one transient list of ints is alive.
+        self._set_columns(name, suite, [
+            _typed_column(name, field, [r[field] for r in records])
+            for field in range(3)])
 
     @classmethod
     def from_columns(cls, name: str, ips: Sequence[int],
                      vaddrs: Sequence[int], flags: Sequence[int],
                      suite: str = "synthetic") -> "Trace":
-        """Build a trace from parallel columns without materializing tuples.
+        """Build a trace from parallel columns.
 
-        ``ips``/``vaddrs`` are typically ``array('q')`` and ``flags`` a
-        ``bytes``/``bytearray``; elements must index back as plain ints
-        (NumPy arrays would leak ``np.int64`` scalars into the hot
-        simulator loops -- convert first).
+        ``array('q')`` ips and vaddrs and ``bytes`` flags are kept as
+        they are, without a copy or a scan; any other sequence of ints
+        (a list, an ``array`` of another type code, a ``bytearray``, a
+        NumPy array) is converted once.
         """
-        if not (len(ips) == len(vaddrs) == len(flags)):
-            raise ValueError("column lengths differ")
         trace = cls.__new__(cls)
-        trace.name = name
-        trace.suite = suite
-        trace._records = None
-        trace._cols = (ips, vaddrs, flags)
-        # Only wrong-path records carry FLAG_WRONG_PATH; count them
-        # straight off the flags column.
-        if isinstance(flags, (bytes, bytearray)):
-            wrong_path = sum(flags.count(v) for v in _WRONG_PATH_BYTES)
-        else:
-            wrong_path = sum(1 for f in flags if f & FLAG_WRONG_PATH)
-        trace.committed_count = len(flags) - wrong_path
+        trace._set_columns(name, suite, [
+            _typed_column(name, field, values)
+            for field, values in enumerate((ips, vaddrs, flags))])
         return trace
+
+    def _set_columns(self, name: str, suite: str,
+                     columns: List[Union[array, bytes]]) -> None:
+        ips, vaddrs, flags = columns
+        if not len(ips) == len(vaddrs) == len(flags):
+            raise ValueError(
+                f"trace {name!r}: column lengths differ ({len(ips)} ips, "
+                f"{len(vaddrs)} vaddrs, {len(flags)} flags)")
+        self.name = name
+        self.suite = suite
+        self._cols = (ips, vaddrs, flags)
+        # Only wrong-path records carry FLAG_WRONG_PATH.
+        self.committed_count = (
+            len(flags) - len(flags.translate(None, _COMMITTED_BYTES)))
 
     @property
     def records(self) -> List[Record]:
-        records = self._records
-        if records is None:
-            records = self._records = list(zip(*self._cols))
-        return records
+        """The records as ``(ip, vaddr, flags)`` tuples, built anew on
+        each access (nothing is cached on the trace)."""
+        return list(zip(*self._cols))
 
-    def columns(self) -> Tuple[Sequence[int], Sequence[int], Sequence[int]]:
-        """Parallel ``(ips, vaddrs, flags)`` views of the records.
-
-        Columnar traces return the prebuilt columns without ever
-        materializing record tuples; record-built traces transpose on
-        demand (and do not cache the result -- the tuples stay the
-        canonical representation there).  The stepper's prescan
-        (:mod:`repro.sim.batch`) reads these, so a columnar trace can be
-        simulated end to end without ``records`` existing at all.
-        """
-        if self._cols is not None:
-            return self._cols
-        records = self._records
-        return ([r[0] for r in records], [r[1] for r in records],
-                [r[2] for r in records])
+    def columns(self) -> Tuple[array, array, bytes]:
+        """The ``(ips, vaddrs, flags)`` columns the trace holds."""
+        return self._cols
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        if state.get("_cols") is not None:
-            state["_records"] = None  # ship columns, not tuples
         # The batch-prescan cache is derived data; recompute on the far
         # side rather than shipping it in job payloads.
         state.pop("_batch_plan", None)
         return state
 
     def __len__(self) -> int:
-        if self._records is not None:
-            return len(self._records)
-        return len(self._cols[0])
+        return len(self._cols[2])
 
     def __iter__(self) -> Iterator[Record]:
-        return iter(self.records)
+        return zip(*self._cols)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Trace({self.name!r}, {len(self)} records, "
                 f"{self.committed_count} committed)")
 
-    def instructions(self) -> Iterator[Instr]:
-        """Iterate records as :class:`Instr` objects (slow, for inspection)."""
-        for ip, vaddr, flags in self.records:
-            yield Instr(ip, vaddr, flags)
-
-    def loads(self) -> Iterator[Instr]:
-        """Iterate only the load records (committed and wrong path)."""
-        for instr in self.instructions():
-            if instr.is_load:
-                yield instr
-
     def footprint_blocks(self) -> int:
         """Number of distinct cache blocks touched by committed-path memory."""
+        _, vaddrs, flags = self._cols
         blocks = {
             vaddr >> BLOCK_SHIFT
-            for (_, vaddr, flags) in self.records
-            if vaddr >= 0 and not flags & FLAG_WRONG_PATH
+            for vaddr, flag in zip(vaddrs, flags)
+            if vaddr >= 0 and not flag & FLAG_WRONG_PATH
         }
         return len(blocks)
-
-    @staticmethod
-    def from_instrs(name: str, instrs: Iterable[Instr],
-                    suite: str = "synthetic") -> "Trace":
-        """Build a trace from :class:`Instr` objects."""
-        return Trace(name, [i.record() for i in instrs], suite=suite)

@@ -203,14 +203,21 @@ class TestPlanColumns:
         from repro.sim.system import System
         assert System().run(trace, warmup=0.0).committed == 2
 
-    def test_ip_beyond_int64_still_simulates(self, numpy, monkeypatch):
-        records = [(2**64, 0x1000, FLAG_LOAD), (0x400004, -1, 0),
-                   (2**64, 0x1040, FLAG_LOAD)]
+    def test_ip_beyond_int64_is_refused(self, numpy, monkeypatch):
+        # ips at the int64 limits simulate; one beyond them is refused
+        # when the trace is built, before any prescan.
+        records = [(2**63 - 1, 0x1000, FLAG_LOAD), (0x400004, -1, 0),
+                   (-2**63, 0x1040, FLAG_LOAD)]
         trace = Trace("wide", records)
         plan = self._prescan(trace, numpy, monkeypatch)
         assert list(plan.ips) == [r[0] for r in records]
         from repro.sim.system import System
         assert System().run(trace, warmup=0.0).committed == 3
+        records[2] = (2**64, 0x1040, FLAG_LOAD)
+        with pytest.raises(ValueError, match=(
+                rf"^trace 'wide': record 2: ip {2**64} "
+                r"does not fit in int64$")):
+            Trace("wide", records)
 
     def test_plan_memory_is_bounded(self, numpy, monkeypatch):
         # 126,698 records: the plan keeps one byte per record for codes

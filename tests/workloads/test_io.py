@@ -60,9 +60,11 @@ class TestErrorHandling:
             load_trace(path)
 
     @pytest.mark.parametrize("record", [(1, 2**63, 1), (1, 64, 256)])
-    def test_unencodable_trace_leaves_no_file(self, tmp_path, record):
+    def test_unencodable_trace_refused_before_saving(self, tmp_path, record):
+        # The Trace constructor refuses a value the file cannot hold, so
+        # save_trace is never reached and no file appears.
         path = tmp_path / "wide.rtrace"
-        with pytest.raises((OverflowError, ValueError)):
+        with pytest.raises(ValueError, match="^trace 'wide': record 1: "):
             save_trace(Trace("wide", [load(1, 64), record]), path)
         assert not path.exists()
 
@@ -85,7 +87,6 @@ class TestColumnarFormat:
         path = tmp_path / "t.rtrace"
         save_trace(trace, path)
         loaded = load_trace(path)
-        assert loaded._records is None  # columnar load stays lazy
         assert loaded.records == trace.records
         assert loaded.committed_count == trace.committed_count
         assert loaded.name == trace.name and loaded.suite == trace.suite

@@ -1,5 +1,8 @@
 """Synthetic trace generator behaviour and invariants."""
 
+from array import array
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,26 +80,25 @@ class TestTraceBuilder:
                 builder.add_filler(count)
         appended = list(builder.records)
         trace = builder.build()
-        assert trace._records is None  # typed columns, no tuples
         assert trace.records == appended
         twin = Trace("t", appended, suite="spec")
         assert trace.committed_count == twin.committed_count
         assert trace_fingerprint(trace) == trace_fingerprint(twin)
 
-    def test_address_beyond_int64_keeps_its_key(self):
-        # int64 cannot hold 2**63, so the builder keeps the record-built
-        # trace, whose store key falls back to the decimal encoding.
+    def test_address_beyond_int64_is_refused(self):
+        # int64 cannot hold 2**63: build() names the field and the
+        # record (the load's index among the appended records).
         builder = TraceBuilder("wide", suite="spec", seed=3,
                                branch_every=3, mispredict_rate=0.5,
                                wrong_path_loads=2)
-        builder.add_load(0x400, 2**63)
         builder.add_store(0x404, 64)
-        builder.add_load(0x400, 2**64 + 128)
-        trace = builder.build()
-        assert trace.records == builder.records
-        assert len(trace) == 14
-        assert trace_fingerprint(trace) == (
-            "b810eb9da104ecabbe284c9336e6583b6ca021036115283c7ea1be7173db4127")
+        builder.add_load(0x400, 2**63)
+        index = builder.records.index((0x400, 2**63, FLAG_LOAD))
+        assert index > 0
+        with pytest.raises(ValueError, match=(
+                rf"^trace 'wide': record {index}: vaddr {2**63} "
+                r"does not fit in int64$")):
+            builder.build()
 
 
 class TestStreamTrace:
@@ -279,9 +281,10 @@ class TestBulkStreamTrace:
 
     def test_bulk_trace_is_columnar(self):
         trace = stream_trace("t", 500, streams=4)
-        assert trace._records is None  # lazy until .records is touched
+        ips, vaddrs, flags = trace.columns()
+        assert type(ips) is array and ips.typecode == "q"
+        assert type(vaddrs) is array and vaddrs.typecode == "q"
+        assert type(flags) is bytes
         assert trace.committed_count > 0
-        first = trace.records
-        assert trace.records is first  # materialized exactly once
-        assert all(isinstance(v, int)
-                   for v in first[0])  # plain ints, not numpy scalars
+        assert all(type(v) is int
+                   for v in trace.records[0])  # plain ints, not numpy scalars

@@ -1,9 +1,22 @@
 """Trace record and container behaviour."""
 
+import pickle
+import tempfile
+from array import array
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.exec.store import trace_fingerprint
+from repro.sim.batch import plan_for
+from repro.workloads.io import load_trace, save_trace
+from repro.workloads.synthetic import TraceBuilder
 from repro.workloads.trace import (BLOCK_SIZE, FLAG_BRANCH, FLAG_LOAD,
                                    FLAG_MISPREDICT, FLAG_STORE,
-                                   FLAG_WRONG_PATH, Instr, Trace, alu,
-                                   block_of, branch, load, store)
+                                   FLAG_WRONG_PATH, Trace, alu, block_of,
+                                   branch, load, store)
 
 
 class TestRecordBuilders:
@@ -43,24 +56,6 @@ class TestBlockOf:
         assert block_of(BLOCK_SIZE * 10 + 5) == 10
 
 
-class TestInstr:
-    def test_flags_views(self):
-        instr = Instr(0x400, 0x1000, FLAG_LOAD | FLAG_WRONG_PATH)
-        assert instr.is_load
-        assert instr.is_wrong_path
-        assert not instr.is_store
-        assert not instr.is_branch
-        assert instr.is_mem
-
-    def test_non_memory(self):
-        instr = Instr(0x400)
-        assert not instr.is_mem
-
-    def test_record_roundtrip(self):
-        instr = Instr(0x400, 0x1000, FLAG_STORE)
-        assert instr.record() == (0x400, 0x1000, FLAG_STORE)
-
-
 class TestTrace:
     def test_committed_count_excludes_wrong_path(self):
         records = [load(1, 64), load(1, 128, wrong_path=True), alu(2)]
@@ -74,25 +69,9 @@ class TestTrace:
         trace = Trace("t", records)
         assert trace.footprint_blocks() == 2
 
-    def test_instructions_iteration(self):
-        trace = Trace("t", [load(1, 64), alu(2)])
-        instrs = list(trace.instructions())
-        assert len(instrs) == 2
-        assert instrs[0].is_load
-
-    def test_loads_iteration_includes_wrong_path(self):
-        trace = Trace("t", [load(1, 64), alu(2),
-                            load(1, 128, wrong_path=True)])
-        assert len(list(trace.loads())) == 2
-
-    def test_from_instrs(self):
-        trace = Trace.from_instrs("t", [Instr(1, 64, FLAG_LOAD)])
-        assert trace.records == [(1, 64, FLAG_LOAD)]
-
 
 class TestColumnarTrace:
     def _cols(self):
-        from array import array
         ips = array("q", [0x400, 0x404, 0x408, 0x40c])
         vaddrs = array("q", [64, -1, 128, 256])
         flags = bytes([FLAG_LOAD, 0, FLAG_LOAD | FLAG_WRONG_PATH,
@@ -111,7 +90,6 @@ class TestColumnarTrace:
         assert lazy.footprint_blocks() == eager.footprint_blocks()
 
     def test_from_columns_rejects_ragged(self):
-        import pytest
         ips, vaddrs, flags = self._cols()
         with pytest.raises(ValueError):
             Trace.from_columns("t", ips, vaddrs, flags[:-1])
@@ -121,23 +99,120 @@ class TestColumnarTrace:
         trace = Trace.from_columns("t", ips, vaddrs, flags)
         assert len(trace) == 4
         assert trace.committed_count == 3
-        assert trace._records is None
+        assert not [v for v in vars(trace).values() if isinstance(v, list)]
         assert list(trace) == list(zip(ips, vaddrs, flags))
 
     def test_pickle_ships_columns(self):
-        import pickle
         ips, vaddrs, flags = self._cols()
         trace = Trace.from_columns("t", ips, vaddrs, flags)
-        trace.records  # materialize, then confirm pickling drops tuples
+        plan_for(trace)  # cached on the trace; pickling drops it
         state = trace.__getstate__()
-        assert state["_records"] is None
+        assert "_batch_plan" not in state
+        assert state["_cols"] == (ips, vaddrs, flags)
         clone = pickle.loads(pickle.dumps(trace))
+        assert clone.columns() == trace.columns()
         assert clone.records == trace.records
         assert clone.committed_count == trace.committed_count
         assert clone.name == trace.name and clone.suite == trace.suite
 
     def test_eager_trace_pickles_unchanged(self):
-        import pickle
         trace = Trace("t", [(1, 64, FLAG_LOAD)])
         clone = pickle.loads(pickle.dumps(trace))
         assert clone.records == trace.records
+
+
+# ----------------------------------------------------------------------
+# one representation: typed columns, however the trace is built
+# ----------------------------------------------------------------------
+
+FIELDS = (("ip", 2**63, "int64"), ("vaddr", 2**63, "int64"),
+          ("flags", 256, "u8"))
+
+
+@st.composite
+def in_range_records(draw):
+    """Records whose values fit their columns; about half of the
+    draws also fit ``array('i')``."""
+    bits = draw(st.sampled_from([31, 63]))
+    value = st.integers(min_value=-2**bits, max_value=2**bits - 1)
+    return draw(st.lists(st.tuples(value, value, st.integers(0, 255)),
+                         max_size=60))
+
+
+def out_of_range(field):
+    """Values the column of ``field`` cannot hold."""
+    limit = FIELDS[field][1]
+    low = -limit if field < 2 else 0
+    return st.one_of(st.integers(min_value=limit),
+                     st.integers(max_value=low - 1))
+
+
+class TestOneRepresentation:
+    @settings(max_examples=100, deadline=None)
+    @given(records=in_range_records())
+    def test_every_constructor_gives_the_same_columns(self, records):
+        ips = [r[0] for r in records]
+        vaddrs = [r[1] for r in records]
+        flags = [r[2] for r in records]
+        q_ips, q_vaddrs = array("q", ips), array("q", vaddrs)
+        flag_bytes = bytes(flags)
+        kept = Trace.from_columns("t", q_ips, q_vaddrs, flag_bytes,
+                                  suite="spec")
+        assert kept.columns()[0] is q_ips
+        assert kept.columns()[1] is q_vaddrs
+        assert kept.columns()[2] is flag_bytes
+        with_bytearray = Trace.from_columns("t", q_ips, q_vaddrs,
+                                            bytearray(flags), suite="spec")
+        assert with_bytearray.columns()[0] is q_ips
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.rtrace"
+            save_trace(kept, path)
+            loaded = load_trace(path)
+        traces = [Trace("t", records, suite="spec"),
+                  Trace.from_columns("t", ips, vaddrs, flags, suite="spec"),
+                  kept, with_bytearray, loaded]
+        if all(-2**31 <= v < 2**31 for v in ips + vaddrs):
+            traces.append(Trace.from_columns(
+                "t", array("i", ips), array("i", vaddrs), array("i", flags),
+                suite="spec"))
+        committed = sum(1 for f in flags if not f & FLAG_WRONG_PATH)
+        key = trace_fingerprint(traces[0])
+        for trace in traces:
+            got_ips, got_vaddrs, got_flags = trace.columns()
+            assert type(got_ips) is array and got_ips.typecode == "q"
+            assert type(got_vaddrs) is array and got_vaddrs.typecode == "q"
+            assert type(got_flags) is bytes
+            assert (list(got_ips), list(got_vaddrs), got_flags) == \
+                (ips, vaddrs, flag_bytes)
+            assert trace.committed_count == committed
+            assert trace_fingerprint(trace) == key
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=in_range_records().filter(len), data=st.data())
+    def test_out_of_range_value_is_refused(self, records, data):
+        index = data.draw(st.integers(0, len(records) - 1), label="record")
+        field = data.draw(st.integers(0, 2), label="field")
+        value = data.draw(out_of_range(field), label="value")
+        records = list(records)
+        record = list(records[index])
+        record[field] = value
+        records[index] = tuple(record)
+        name, _, kind = FIELDS[field]
+        message = (f"trace 't': record {index}: {name} {value} "
+                   f"does not fit in {kind}")
+        builder = TraceBuilder("t")
+        builder.records.extend(records)
+        for build in (lambda: Trace("t", records),
+                      lambda: Trace.from_columns(
+                          "t", *(list(c) for c in zip(*records))),
+                      builder.build):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_records_are_built_on_each_access(self):
+        trace = Trace("t", [load(1, 64), alu(2)])
+        first = trace.records
+        assert first == [(1, 64, FLAG_LOAD), (2, -1, 0)]
+        assert trace.records is not first
+        assert not [v for v in vars(trace).values() if isinstance(v, list)]
